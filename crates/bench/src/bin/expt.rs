@@ -120,9 +120,16 @@ fn run_smoke(seed: u64, method: Option<&str>, fault: FaultPlan, over: &SmokeOver
             if over.timing {
                 // Wall-clock goes to stderr only — stdout must stay
                 // byte-deterministic for the golden/determinism gates.
+                let m = &run.metrics;
                 eprintln!(
-                    "timing: method={} proto={:.6} oracle={:.6}",
-                    run.metrics.method, run.metrics.proto_seconds, run.metrics.oracle_seconds
+                    "timing: method={} proto={:.6} oracle={:.6} route={:.6} scope={:.6} stage={:.6} flush={:.6}",
+                    m.method,
+                    m.proto_seconds,
+                    m.oracle_seconds,
+                    m.route_seconds,
+                    m.scope_seconds,
+                    m.stage_seconds,
+                    m.flush_seconds
                 );
             }
             run.metrics.with_clock_zeroed().to_json()

@@ -333,9 +333,17 @@ impl GridIndex {
     }
 
     /// All indexed objects within `range` (boundary inclusive), in canonical
-    /// order.
+    /// order. Allocates; see [`GridIndex::range_into`] for a reused buffer.
     pub fn range(&self, range: &Circle) -> Vec<Neighbor> {
         let mut out = Vec::new();
+        self.range_into(range, &mut out);
+        out
+    }
+
+    /// Replaces the contents of `out` with every indexed object within
+    /// `range` (boundary inclusive), in canonical `(dist², id)` order.
+    pub fn range_into(&self, range: &Circle, out: &mut Vec<Neighbor>) {
+        out.clear();
         let r2 = range.radius * range.radius;
         self.for_cells_overlapping(range, |cell| {
             for &id in &self.cells[cell as usize] {
@@ -346,10 +354,9 @@ impl GridIndex {
                 }
             }
         });
-        out.sort_unstable_by(|a, b| {
-            (crate::OrdF64(a.dist_sq), a.id).cmp(&(crate::OrdF64(b.dist_sq), b.id))
-        });
-        out
+        // Squared distances are never negative, and the bits of a
+        // non-negative float order like its value.
+        out.sort_unstable_by_key(|n| (n.dist_sq.to_bits(), n.id));
     }
 
     /// Visits every cell whose rectangle intersects `circle`.

@@ -7,10 +7,10 @@
 //! replication pattern of modern networked-state engines (naia's
 //! `scope_checks()` → `send_all_updates()` two-phase tick):
 //!
-//! 1. **Scope** — [`DownlinkBuilder::scope`] resolves each send into the set
-//!    of devices actually interested in it: the focal device for its query's
-//!    answer, the region members and imminent entrants for a region install
-//!    (the grid page of the geocast zone), one device for a unicast.
+//! 1. **Scope** — the router resolves each send into the set of devices
+//!    actually interested in it: the focal device for its query's answer,
+//!    the region members and imminent entrants for a region install (the
+//!    grid page of the geocast zone), one device for a unicast.
 //! 2. **Stage** — [`DownlinkBuilder::stage`] /
 //!    [`DownlinkBuilder::stage_answer`] collect every `(device, message)`
 //!    pair of the tick. Nothing is charged yet.
@@ -20,7 +20,8 @@
 //!    state that device *acked*, or a full snapshot when no trusted acked
 //!    base exists (first contact, churn rejoin).
 //!
-//! The delta/ack state machine lives in [`ReplStore`], keyed by device.
+//! The delta/ack state machine lives in [`ReplStore`], one dense slot per
+//! device id.
 //! Deltas are always encoded against the last state the device *acked*,
 //! advanced per item by exactly the copies the fault layer delivered — an
 //! ack gap (a copy the loss/delay draws ate) merely stalls that slot's
@@ -40,10 +41,10 @@
 //! thread count and shard count. Only the measured bytes differ.
 
 use crate::wire::{self, id_bits, Wire, DOWN_TAG_BITS, KIND_BITS, LINK_HEADER_BITS};
-use crate::{DownlinkMsg, NetStats, Recipient};
-use mknn_geom::{Circle, ObjectId, Point, QueryId, Tick, Vector};
+use crate::{DownlinkMsg, NetStats, PAR_MIN_DEVICES};
+use mknn_geom::{ObjectId, Point, QueryId, Tick, Vector};
 use mknn_util::bits::{signed_bits, varint_bits, BitReader, BitWriter};
-use std::collections::BTreeMap;
+use mknn_util::Pool;
 
 /// Frame-layer tag codes, extending the [`DownlinkMsg`] tag space (0..=5).
 const DOWN_REGION_REFRESH: u64 = 6;
@@ -519,16 +520,63 @@ impl QueryRepl {
     }
 }
 
-/// Per-device replication state.
-#[derive(Debug, Clone, Default)]
-struct DeviceRepl {
-    queries: BTreeMap<u32, QueryRepl>,
+/// Marks the end of a device's chain of staged items (or an unstaged
+/// device) in the per-tick staging arena.
+const NO_ITEM: u32 = u32::MAX;
+
+/// One device's slot in the dense store: the acked replication state that
+/// persists across ticks, plus the ends of this tick's chain of staged
+/// items in [`ReplStore::staged`].
+#[derive(Debug, Clone)]
+struct DeviceSlot {
+    /// Acked state per query id. A device sits in the regions of only a
+    /// few queries at once, so a short vector searched linearly beats a
+    /// map; its order carries no meaning.
+    queries: Vec<(u32, QueryRepl)>,
     /// The device was in an offline churn window when a frame was due: its
     /// mirror cannot be trusted across the rejoin, so the next send of
     /// state it used to hold goes out in full. Cleared by the next fully
     /// delivered frame. (Mere loss/delay does *not* set this — it only
     /// stalls the acked baseline, which stays a valid delta base.)
     gapped: bool,
+    /// First and last staged item of this tick ([`NO_ITEM`] when the
+    /// device was not staged).
+    head: u32,
+    tail: u32,
+}
+
+impl Default for DeviceSlot {
+    fn default() -> Self {
+        DeviceSlot {
+            queries: Vec::new(),
+            gapped: false,
+            head: NO_ITEM,
+            tail: NO_ITEM,
+        }
+    }
+}
+
+impl DeviceSlot {
+    /// The acked state of `query`, inserted empty when absent (pruned again
+    /// at the end of the frame if nothing commits into it).
+    fn query(&mut self, query: QueryId) -> &mut QueryRepl {
+        let at = match self.queries.iter().position(|(q, _)| *q == query.0) {
+            Some(at) => at,
+            None => {
+                // Most devices hold one query: grow exactly, not by doubling.
+                self.queries.reserve_exact(1);
+                self.queries.push((query.0, QueryRepl::default()));
+                self.queries.len() - 1
+            }
+        };
+        &mut self.queries[at].1
+    }
+
+    fn remove_query(&mut self, query: QueryId) {
+        if let Some(at) = self.queries.iter().position(|(q, _)| *q == query.0) {
+            self.queries.swap_remove(at);
+        }
+    }
 }
 
 /// What the fault layer did with a staged send this tick, as reported to
@@ -549,31 +597,68 @@ pub enum Delivery {
 }
 
 /// The server side of the delta/ack state machine: what every device last
-/// acked, per query. Persists across ticks; one per episode.
-#[derive(Debug, Default)]
+/// acked, per query, in one dense slot per device id. Persists across
+/// ticks; one per episode. The tick's staging lives here too — an arena of
+/// staged items chained per device, and the list of devices touched — so
+/// every buffer is reused from tick to tick.
+#[derive(Debug)]
 pub struct ReplStore {
-    devices: BTreeMap<u32, DeviceRepl>,
+    devices: Vec<DeviceSlot>,
+    /// This tick's staged items, in staging order; each device's items form
+    /// a chain through [`Staged::next`].
+    staged: Vec<Staged>,
+    /// Ids of the devices staged this tick, in first-staged order until the
+    /// flush sorts them.
+    touched: Vec<u32>,
+    /// Workers the frame flush fans out over.
+    pool: Pool,
+}
+
+impl Default for ReplStore {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ReplStore {
-    /// An empty store (no device has acked anything).
+    /// An empty store (no device has acked anything) that flushes on the
+    /// calling thread.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_pool(Pool::new(1))
     }
 
-    /// Opens the staging builder for one tick. Stage every downlink of the
-    /// tick, then call [`DownlinkBuilder::flush_frames`] exactly once.
-    pub fn begin_tick(&mut self, tick: Tick) -> DownlinkBuilder<'_> {
-        DownlinkBuilder {
-            store: self,
-            tick,
-            staged: BTreeMap::new(),
+    /// An empty store whose frame flush fans out over `pool`. The pool
+    /// width never changes a result: chunks merge in device-id order.
+    pub fn with_pool(pool: Pool) -> Self {
+        ReplStore {
+            devices: Vec::new(),
+            staged: Vec::new(),
+            touched: Vec::new(),
+            pool,
         }
     }
 
-    /// Number of devices holding any replication state (test hook).
+    /// Opens the staging builder for one tick. Stage every downlink of the
+    /// tick, then call [`DownlinkBuilder::flush_frames`] exactly once; the
+    /// stagings of a builder dropped without a flush are discarded here.
+    pub fn begin_tick(&mut self, tick: Tick) -> DownlinkBuilder<'_> {
+        for &dev in &self.touched {
+            let slot = &mut self.devices[dev as usize];
+            slot.head = NO_ITEM;
+            slot.tail = NO_ITEM;
+        }
+        self.touched.clear();
+        self.staged.clear();
+        DownlinkBuilder { store: self, tick }
+    }
+
+    /// Number of devices holding any replication state: acked query state,
+    /// or a churn gap still to resolve (test hook).
     pub fn tracked_devices(&self) -> usize {
-        self.devices.len()
+        self.devices
+            .iter()
+            .filter(|d| d.gapped || !d.queries.is_empty())
+            .count()
     }
 }
 
@@ -592,56 +677,29 @@ enum StagedMsg {
 struct Staged {
     msg: StagedMsg,
     delivery: Delivery,
+    /// The device's next staged item ([`NO_ITEM`] at the end of its chain).
+    next: u32,
 }
 
-#[derive(Debug, Default)]
-struct DeviceStage {
-    items: Vec<Staged>,
-    all_delivered: bool,
-    any_offline: bool,
-    any: bool,
-}
-
-/// The two-phase tick API of the scoped downlink: `scope()` resolves
-/// interest, `stage()` collects the tick's sends, `flush_frames()` encodes
-/// one frame per device and charges it. Created by [`ReplStore::begin_tick`].
+/// The two-phase tick API of the scoped downlink: the router resolves each
+/// send's interest set (see [`DownlinkBuilder::stage`]), `stage()` collects
+/// the tick's sends, `flush_frames()` encodes one frame per device and
+/// charges it. Created by [`ReplStore::begin_tick`].
 #[derive(Debug)]
 pub struct DownlinkBuilder<'a> {
     store: &'a mut ReplStore,
     tick: Tick,
-    staged: BTreeMap<u32, DeviceStage>,
 }
 
 impl DownlinkBuilder<'_> {
-    /// Resolves a send into the devices interested in it: the addressee of
-    /// a unicast, or — for a geocast — the devices inside the zone (region
-    /// members and imminent entrants), resolved by the caller-supplied
-    /// spatial lookup. `None` for broadcasts: system-wide floods have no
-    /// interest set and stay on the legacy path.
-    pub fn scope(
-        recipient: &Recipient,
-        range: impl FnOnce(&Circle) -> Vec<ObjectId>,
-    ) -> Option<Vec<ObjectId>> {
-        match recipient {
-            Recipient::One(id) => Some(vec![*id]),
-            Recipient::Geocast(zone) => Some(range(zone)),
-            Recipient::Broadcast => None,
-        }
-    }
-
-    /// Stages one protocol message to one device. `delivery` reports what
-    /// the fault layer did with the copy this tick; it gates the ack state
-    /// machine, never the encoding choice — the server picks the encoding
-    /// before learning the fate.
+    /// Stages one protocol message to one device — the addressee of a
+    /// unicast, or one device of a geocast's interest set (the zone's
+    /// members and imminent entrants, resolved by the router against its
+    /// spatial index). `delivery` reports what the fault layer did with the
+    /// copy this tick; it gates the ack state machine, never the encoding
+    /// choice — the server picks the encoding before learning the fate.
     pub fn stage(&mut self, device: ObjectId, msg: DownlinkMsg, delivery: Delivery) {
-        let e = self.entry(device);
-        e.items.push(Staged {
-            msg: StagedMsg::Proto(msg),
-            delivery,
-        });
-        e.all_delivered &= delivery == Delivery::Delivered;
-        e.any_offline |= delivery == Delivery::Offline;
-        e.any = true;
+        self.push(device, StagedMsg::Proto(msg), delivery);
     }
 
     /// Stages an answer push: the query's current member list, bound for
@@ -656,32 +714,45 @@ impl DownlinkBuilder<'_> {
         ordered: bool,
         delivery: Delivery,
     ) {
-        let e = self.entry(device);
-        e.items.push(Staged {
-            msg: StagedMsg::Answer {
-                query,
-                members,
-                ordered,
-            },
+        let msg = StagedMsg::Answer {
+            query,
+            members,
+            ordered,
+        };
+        self.push(device, msg, delivery);
+    }
+
+    /// Appends an item to the arena and to the end of the device's chain.
+    fn push(&mut self, device: ObjectId, msg: StagedMsg, delivery: Delivery) {
+        let store = &mut *self.store;
+        let idx = device.index();
+        if idx >= store.devices.len() {
+            store.devices.resize_with(idx + 1, DeviceSlot::default);
+        }
+        let item = u32::try_from(store.staged.len()).expect("staged items fit in u32");
+        store.staged.push(Staged {
+            msg,
             delivery,
+            next: NO_ITEM,
         });
-        e.all_delivered &= delivery == Delivery::Delivered;
-        e.any_offline |= delivery == Delivery::Offline;
-        e.any = true;
+        let slot = &mut store.devices[idx];
+        if slot.head == NO_ITEM {
+            slot.head = item;
+            store.touched.push(device.0);
+        } else {
+            store.staged[slot.tail as usize].next = item;
+        }
+        slot.tail = item;
     }
 
-    fn entry(&mut self, device: ObjectId) -> &mut DeviceStage {
-        self.staged.entry(device.0).or_insert_with(|| DeviceStage {
-            items: Vec::new(),
-            all_delivered: true,
-            any_offline: false,
-            any: false,
-        })
-    }
-
-    /// Encodes one frame per staged device (ascending device id), charges
-    /// each into `stats` (`frames`, `downlink_bytes`, `frame_header_bytes`,
+    /// Encodes one frame per staged device, charges each into `stats`
+    /// (`frames`, `downlink_bytes`, `frame_header_bytes`, `ack_bytes`,
     /// `delta_full_fallbacks`), and advances the delta/ack state machine.
+    ///
+    /// Devices are independent, so the flush walks the sorted touched list
+    /// in device-id chunks over the store's pool, each chunk tallying its
+    /// own counters, merged in chunk order: the totals are the same at any
+    /// pool width.
     ///
     /// Commits are per *item*: every staged copy made its own fault draw,
     /// so the device's mirror advances by exactly the items that reached
@@ -691,40 +762,73 @@ impl DownlinkBuilder<'_> {
     /// device gapped: the rejoin send re-sends held state in full, and the
     /// first fully delivered frame re-arms delta encoding.
     pub fn flush_frames(self, stats: &mut NetStats) {
-        for (dev, stage) in self.staged {
-            if !stage.any {
-                continue;
+        let tick = self.tick;
+        let ReplStore {
+            devices,
+            staged,
+            touched,
+            pool,
+        } = self.store;
+        touched.sort_unstable();
+        let (ids, items) = (&touched[..], &staged[..]);
+        let chunk = if ids.len() < PAR_MIN_DEVICES {
+            devices.len()
+        } else {
+            pool.chunk_size(devices.len())
+        };
+        let parts = pool.map_chunks_mut(devices, chunk, |base, slots| {
+            let lo = ids.partition_point(|&d| (d as usize) < base);
+            let hi = ids.partition_point(|&d| (d as usize) < base + slots.len());
+            let mut part = NetStats::default();
+            for &dev in &ids[lo..hi] {
+                flush_device(&mut slots[dev as usize - base], items, tick, &mut part);
             }
-            let entry = self.store.devices.entry(dev).or_default();
-            let mut fallbacks = 0u64;
-            let mut items = Vec::with_capacity(stage.items.len());
-            for staged in &stage.items {
-                let commit = staged.delivery == Delivery::Delivered;
-                let item = encode_one(entry, &staged.msg, commit, &mut fallbacks);
-                items.push(item);
-            }
-            let header = frame_header_bits(self.tick, items.len());
-            let payload: usize = items.iter().map(|i| i.wire_bits()).sum();
-            let ack_bits: usize = items
-                .iter()
-                .filter(|i| i.is_ack())
-                .map(|i| i.wire_bits())
-                .sum();
-            let frame_bytes = (header + payload).div_ceil(8);
-            let payload_bytes = payload.div_ceil(8);
-            stats.count_frame(frame_bytes as u64, (frame_bytes - payload_bytes) as u64);
-            stats.ack_bytes += ack_bits.div_ceil(8) as u64;
-            stats.delta_full_fallbacks += fallbacks;
-            if stage.all_delivered {
-                entry.gapped = false;
-            } else if stage.any_offline {
-                entry.gapped = true;
-            }
-            entry.queries.retain(|_, q| !q.is_empty());
-            if entry.queries.is_empty() && !entry.gapped {
-                self.store.devices.remove(&dev);
-            }
+            part
+        });
+        for part in &parts {
+            *stats += part;
         }
+        touched.clear();
+        staged.clear();
+    }
+}
+
+/// Encodes and charges one device's frame from its chain of staged items,
+/// then settles its gap flag and prunes query state nothing holds.
+fn flush_device(dev: &mut DeviceSlot, staged: &[Staged], tick: Tick, stats: &mut NetStats) {
+    let (mut count, mut payload, mut ack_bits, mut fallbacks) = (0usize, 0usize, 0usize, 0u64);
+    let (mut all_delivered, mut any_offline) = (true, false);
+    let mut at = dev.head;
+    while at != NO_ITEM {
+        let s = &staged[at as usize];
+        let commit = s.delivery == Delivery::Delivered;
+        let item = encode_one(dev, &s.msg, commit, &mut fallbacks);
+        let bits = item.wire_bits();
+        payload += bits;
+        if item.is_ack() {
+            ack_bits += bits;
+        }
+        count += 1;
+        all_delivered &= commit;
+        any_offline |= s.delivery == Delivery::Offline;
+        at = s.next;
+    }
+    dev.head = NO_ITEM;
+    dev.tail = NO_ITEM;
+    let frame_bytes = (frame_header_bits(tick, count) + payload).div_ceil(8);
+    let payload_bytes = payload.div_ceil(8);
+    stats.count_frame(frame_bytes as u64, (frame_bytes - payload_bytes) as u64);
+    stats.ack_bytes += ack_bits.div_ceil(8) as u64;
+    stats.delta_full_fallbacks += fallbacks;
+    if all_delivered {
+        dev.gapped = false;
+    } else if any_offline {
+        dev.gapped = true;
+    }
+    dev.queries.retain(|(_, q)| !q.is_empty());
+    if dev.queries.is_empty() {
+        // Give the allocation back: most devices leave every region again.
+        dev.queries = Vec::new();
     }
 }
 
@@ -733,7 +837,7 @@ impl DownlinkBuilder<'_> {
 /// (`commit`), and counts a fallback when a churn gap forced a full
 /// re-send of state the device used to hold.
 fn encode_one(
-    dev: &mut DeviceRepl,
+    dev: &mut DeviceSlot,
     msg: &StagedMsg,
     commit: bool,
     fallbacks: &mut u64,
@@ -749,7 +853,7 @@ fn encode_one(
 }
 
 fn encode_proto(
-    dev: &mut DeviceRepl,
+    dev: &mut DeviceSlot,
     msg: &DownlinkMsg,
     commit: bool,
     fallbacks: &mut u64,
@@ -763,7 +867,7 @@ fn encode_proto(
             vel,
             r_out,
         } => {
-            let q = dev.queries.entry(query.0).or_default();
+            let q = dev.query(query);
             let item = match (&q.region, gapped) {
                 (Some(acked), false) if acked.ver == ver => {
                     // Heartbeat: same version, geometry already on device.
@@ -814,7 +918,7 @@ fn encode_proto(
             inner,
             outer,
         } => {
-            let q = dev.queries.entry(query.0).or_default();
+            let q = dev.query(query);
             let item = match (&q.band, gapped) {
                 (Some(acked), false)
                     if ver >= acked.ver && acked.outer.is_finite() && outer.is_finite() =>
@@ -846,13 +950,13 @@ fn encode_proto(
         }
         DownlinkMsg::RemoveRegion { query } => {
             if commit {
-                dev.queries.remove(&query.0);
+                dev.remove_query(query);
             }
             FrameItem::Full(*msg)
         }
         DownlinkMsg::ClearBand { query } => {
             if commit {
-                if let Some(q) = dev.queries.get_mut(&query.0) {
+                if let Some((_, q)) = dev.queries.iter_mut().find(|(q, _)| *q == query.0) {
                     q.band = None;
                 }
             }
@@ -869,7 +973,7 @@ fn encode_proto(
 }
 
 fn encode_answer(
-    dev: &mut DeviceRepl,
+    dev: &mut DeviceSlot,
     query: QueryId,
     members: &[ObjectId],
     ordered: bool,
@@ -877,7 +981,7 @@ fn encode_answer(
     fallbacks: &mut u64,
 ) -> FrameItem {
     let gapped = dev.gapped;
-    let q = dev.queries.entry(query.0).or_default();
+    let q = dev.query(query);
     let full = FrameItem::Answer(AnswerUpdate::Full {
         query,
         members: members.to_vec(),
@@ -961,6 +1065,7 @@ fn answer_delta(
 mod tests {
     use super::*;
     use crate::MsgKind;
+    use std::collections::BTreeMap;
 
     fn install(ver: Tick, x: f64) -> DownlinkMsg {
         DownlinkMsg::InstallRegion {
@@ -1247,22 +1352,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_resolves_unicast_and_geocast_but_not_broadcast() {
-        let one = DownlinkBuilder::scope(&Recipient::One(ObjectId(5)), |_| unreachable!());
-        assert_eq!(one, Some(vec![ObjectId(5)]));
-        let zone = Circle::new(Point::new(10.0, 10.0), 5.0);
-        let geo = DownlinkBuilder::scope(&Recipient::Geocast(zone), |z| {
-            assert_eq!(z.radius, 5.0);
-            vec![ObjectId(1), ObjectId(2)]
-        });
-        assert_eq!(geo, Some(vec![ObjectId(1), ObjectId(2)]));
-        assert_eq!(
-            DownlinkBuilder::scope(&Recipient::Broadcast, |_| unreachable!()),
-            None
-        );
-    }
-
-    #[test]
     fn store_prunes_devices_with_no_state() {
         let mut store = ReplStore::new();
         let mut stats = NetStats::default();
@@ -1279,6 +1368,182 @@ mod tests {
         );
         b.flush_frames(&mut stats);
         assert_eq!(store.tracked_devices(), 0);
+    }
+
+    /// One tick of a flush script: `(device, message, fate)` in the order
+    /// each device receives them.
+    type Script = Vec<(ObjectId, StagedScript, Delivery)>;
+
+    #[derive(Debug, Clone)]
+    enum StagedScript {
+        Proto(DownlinkMsg),
+        Answer(QueryId, Vec<ObjectId>),
+    }
+
+    /// Devices per tick: above [`PAR_MIN_DEVICES`], so a wide pool really
+    /// splits the flush into chunks.
+    const SCRIPT_DEVICES: u32 = PAR_MIN_DEVICES as u32 + 900;
+
+    /// A multi-tick script over sparse device ids: region installs that
+    /// move, bands, acks, removals and answer diffs, with lost and offline
+    /// fates mixed in.
+    fn flush_script(ticks: Tick) -> Vec<Script> {
+        let mut rng = mknn_util::Rng::seed_from_u64(5);
+        (1..=ticks)
+            .map(|tick| {
+                let mut script = Script::new();
+                for d in 0..SCRIPT_DEVICES {
+                    let dev = ObjectId(d * 3 + 1);
+                    let q = QueryId(d % 7);
+                    for _ in 0..rng.gen_range(1..=3u32) {
+                        let fate = match rng.gen_range(0..10u32) {
+                            0 => Delivery::Lost,
+                            1 => Delivery::Offline,
+                            _ => Delivery::Delivered,
+                        };
+                        let msg = match rng.gen_range(0..6u32) {
+                            0 | 1 => StagedScript::Proto(DownlinkMsg::InstallRegion {
+                                query: q,
+                                ver: tick,
+                                center: Point::new(tick as f64 + d as f64, 50.0),
+                                vel: Vector::new(1.0, 0.0),
+                                r_out: 120.0 + rng.gen_range(0..3u32) as f64,
+                            }),
+                            2 => StagedScript::Proto(DownlinkMsg::SetBand {
+                                query: q,
+                                ver: tick,
+                                inner: 10.0 + rng.gen_range(0..4u32) as f64,
+                                outer: 20.0,
+                            }),
+                            3 => StagedScript::Proto(DownlinkMsg::Ack {
+                                query: q,
+                                ver: tick,
+                                kind: MsgKind::Enter,
+                            }),
+                            4 => StagedScript::Proto(DownlinkMsg::RemoveRegion { query: q }),
+                            _ => {
+                                let base = rng.gen_range(0..4u32);
+                                let members =
+                                    (base..base + 6).map(|m| ObjectId(m * 1000)).collect();
+                                StagedScript::Answer(q, members)
+                            }
+                        };
+                        script.push((dev, msg, fate));
+                    }
+                }
+                script
+            })
+            .collect()
+    }
+
+    /// The same tick with devices interleaved differently: round-robin over
+    /// each device's items, devices in descending id order. Every device
+    /// still sees its own items in script order.
+    fn interleave(script: &Script) -> Script {
+        let mut per_dev: BTreeMap<u32, Vec<_>> = BTreeMap::new();
+        for item in script {
+            per_dev.entry(item.0 .0).or_default().push(item.clone());
+        }
+        let mut out = Script::new();
+        for round in 0.. {
+            let before = out.len();
+            for items in per_dev.values().rev() {
+                if let Some(item) = items.get(round) {
+                    out.push(item.clone());
+                }
+            }
+            if out.len() == before {
+                break;
+            }
+        }
+        out
+    }
+
+    /// Runs `ticks` through a store, returning each tick's flush totals.
+    fn run_script(mut store: ReplStore, ticks: &[Script]) -> Vec<NetStats> {
+        let mut out = Vec::new();
+        for (t, script) in ticks.iter().enumerate() {
+            let mut b = store.begin_tick(t as Tick + 1);
+            for (dev, msg, fate) in script {
+                match msg {
+                    StagedScript::Proto(m) => b.stage(*dev, *m, *fate),
+                    StagedScript::Answer(q, members) => {
+                        b.stage_answer(*dev, *q, members.clone(), false, *fate)
+                    }
+                }
+            }
+            let mut stats = NetStats::default();
+            b.flush_frames(&mut stats);
+            out.push(stats);
+        }
+        out
+    }
+
+    #[test]
+    fn flush_totals_ignore_staging_interleaving_and_pool_width() {
+        let ticks = flush_script(4);
+        let shuffled: Vec<Script> = ticks.iter().map(interleave).collect();
+        assert_ne!(
+            ticks[0].iter().map(|i| i.0).collect::<Vec<_>>(),
+            shuffled[0].iter().map(|i| i.0).collect::<Vec<_>>()
+        );
+        let reference = run_script(ReplStore::new(), &ticks);
+        for (name, store, script) in [
+            ("interleaved, width 1", ReplStore::new(), &shuffled),
+            (
+                "script order, width 4",
+                ReplStore::with_pool(Pool::new(4)),
+                &ticks,
+            ),
+            (
+                "interleaved, width 4",
+                ReplStore::with_pool(Pool::new(4)),
+                &shuffled,
+            ),
+        ] {
+            let got = run_script(store, script);
+            // Every counter: frames, bytes, header and ack bytes, fallbacks.
+            for (t, (a, b)) in reference.iter().zip(&got).enumerate() {
+                assert_eq!(a, b, "{name}, tick {t}");
+            }
+        }
+        // The script reaches every part of the state machine.
+        assert!(reference.iter().all(|s| s.frames == SCRIPT_DEVICES as u64));
+        assert!(reference.iter().any(|s| s.delta_full_fallbacks > 0));
+        assert!(reference.iter().all(|s| s.ack_bytes > 0));
+    }
+
+    #[test]
+    fn tracked_devices_counts_state_or_gaps_only() {
+        let mut store = ReplStore::new();
+        let mut stats = NetStats::default();
+        assert_eq!(store.tracked_devices(), 0);
+        let ack = DownlinkMsg::Ack {
+            query: QueryId(1),
+            ver: 1,
+            kind: MsgKind::Enter,
+        };
+        // An ack holds no replicated state; an offline send leaves no state
+        // but a gap, which is tracked until a fully delivered frame.
+        let mut b = store.begin_tick(1);
+        b.stage(ObjectId(2), ack, Delivery::Delivered);
+        b.stage(ObjectId(5), install(1, 10.0), Delivery::Offline);
+        b.stage(ObjectId(9), install(1, 10.0), Delivery::Lost);
+        b.flush_frames(&mut stats);
+        assert_eq!(store.tracked_devices(), 1, "only the gapped device");
+        let mut b = store.begin_tick(2);
+        b.stage(ObjectId(5), ack, Delivery::Delivered);
+        b.stage(ObjectId(40), install(2, 10.0), Delivery::Delivered);
+        b.flush_frames(&mut stats);
+        assert_eq!(store.tracked_devices(), 1, "the gap closed; 40 holds state");
+        // A builder dropped without a flush leaves nothing behind.
+        let mut b = store.begin_tick(3);
+        b.stage(ObjectId(7), install(3, 10.0), Delivery::Delivered);
+        drop(b);
+        let frames = stats.frames;
+        store.begin_tick(4).flush_frames(&mut stats);
+        assert_eq!(stats.frames, frames);
+        assert_eq!(store.tracked_devices(), 1);
     }
 
     #[test]

@@ -551,6 +551,12 @@ pub struct FaultyLink {
     held_down: Vec<(Tick, ObjectId, DownlinkMsg)>,
 }
 
+/// Whether device `idx` is inside an offline window at `now`, given each
+/// device's window end.
+fn offline_at(offline_until: &[Tick], now: Tick, idx: usize) -> bool {
+    offline_until.get(idx).is_some_and(|&t| now < t)
+}
+
 impl FaultyLink {
     /// Creates the link runtime for `plan`, drawing from a generator seeded
     /// with `seed` (the harness derives it from the episode's workload
@@ -658,7 +664,7 @@ impl FaultyLink {
 
     /// Whether device `idx` is inside an offline window right now.
     pub fn is_offline(&self, idx: usize) -> bool {
-        self.offline_until.get(idx).is_some_and(|&t| self.now < t)
+        offline_at(&self.offline_until, self.now, idx)
     }
 
     /// The stream a message's fate is drawn from: the message's query
@@ -713,18 +719,17 @@ impl FaultyLink {
     }
 
     /// Moves every held uplink that is due at the current tick into `out`,
-    /// in the order it was delayed.
+    /// in the order it was delayed (one stable pass; items not yet due stay
+    /// queued in order).
     pub fn drain_due_up(&mut self, out: &mut Vec<(ObjectId, UplinkMsg)>) {
         let now = self.now;
-        let mut i = 0;
-        while i < self.held_up.len() {
-            if self.held_up[i].0 <= now {
-                let (_, from, msg) = self.held_up.remove(i);
-                out.push((from, msg));
-            } else {
-                i += 1;
+        self.held_up.retain(|&(due, from, msg)| {
+            if due > now {
+                return true;
             }
-        }
+            out.push((from, msg));
+            false
+        });
     }
 
     /// Passes one downlink delivery (to the device at inbox index `to`)
@@ -772,22 +777,21 @@ impl FaultyLink {
 
     /// Delivers every held downlink that is due at the current tick into
     /// the receiver's inbox (unless the receiver is offline *now*, in which
-    /// case the copy is finally dropped).
+    /// case the copy is finally dropped), in the order it was delayed (one
+    /// stable pass; items not yet due stay queued in order).
     pub fn drain_due_down(&mut self, inboxes: &mut [Vec<DownlinkMsg>], stats: &mut NetStats) {
-        let now = self.now;
-        let mut i = 0;
-        while i < self.held_down.len() {
-            if self.held_down[i].0 <= now {
-                let (_, to, msg) = self.held_down.remove(i);
-                if self.is_offline(to.index()) {
-                    stats.count_dropped();
-                } else if let Some(inbox) = inboxes.get_mut(to.index()) {
-                    inbox.push(msg);
-                }
-            } else {
-                i += 1;
+        let (now, offline_until) = (self.now, &self.offline_until);
+        self.held_down.retain(|&(due, to, msg)| {
+            if due > now {
+                return true;
             }
-        }
+            if offline_at(offline_until, now, to.index()) {
+                stats.count_dropped();
+            } else if let Some(inbox) = inboxes.get_mut(to.index()) {
+                inbox.push(msg);
+            }
+            false
+        });
     }
 
     /// Passes one inter-shard backbone leg of `bytes` through the link.
@@ -941,6 +945,143 @@ mod tests {
         // at tick 3 the device redraws (offline_until was 3).
         link.begin_tick(3, 1);
         assert!(link.is_offline(0), "immediately re-churned at expiry");
+    }
+
+    /// A link that holds every copy back for one or two ticks.
+    fn delay_only_link() -> FaultyLink {
+        FaultyLink::new(FaultPlan::builder().delay(1.0, 2).build().unwrap(), 11)
+    }
+
+    /// Ticks that push held copies, copies pushed per tick, and devices.
+    const PUSH_TICKS: Tick = 5;
+    const PER_TICK: u64 = 1000;
+    const DEVICES: usize = 16;
+
+    /// Asserts the held queue holds both one- and two-tick delays pushed
+    /// at `now`, so the drains below see interleaved due ticks.
+    fn assert_mixed_delays(due: impl Iterator<Item = Tick> + Clone, now: Tick) {
+        assert!(
+            due.clone().any(|d| d == now + 1),
+            "no 1-tick delay at {now}"
+        );
+        assert!(
+            due.clone().any(|d| d == now + 2),
+            "no 2-tick delay at {now}"
+        );
+    }
+
+    #[test]
+    fn held_uplinks_drain_in_push_order_and_keep_the_rest_queued() {
+        let mut link = delay_only_link();
+        let mut stats = NetStats::default();
+        let mut seq = 0u64;
+        let mut drained = 0u64;
+        for now in 1..=PUSH_TICKS + 3 {
+            link.begin_tick(now, DEVICES);
+            let (due, waiting): (Vec<_>, Vec<_>) =
+                link.held_up.iter().copied().partition(|h| h.0 <= now);
+            let mut out = Vec::new();
+            link.drain_due_up(&mut out);
+            let want: Vec<_> = due.iter().map(|&(_, from, msg)| (from, msg)).collect();
+            assert_eq!(out, want, "tick {now}: due copies out of push order");
+            assert_eq!(
+                link.held_up, waiting,
+                "tick {now}: waiting copies reordered"
+            );
+            let vers: Vec<u64> = out
+                .iter()
+                .map(|(_, m)| match m {
+                    UplinkMsg::Leave { ver, .. } => *ver,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            assert!(vers.windows(2).all(|w| w[0] < w[1]), "tick {now}");
+            drained += out.len() as u64;
+            if now <= PUSH_TICKS {
+                for _ in 0..PER_TICK {
+                    let msg = UplinkMsg::Leave {
+                        query: QueryId(0),
+                        ver: seq,
+                        pos: Point::ORIGIN,
+                    };
+                    let from = ObjectId((seq % DEVICES as u64) as u32);
+                    link.transmit_up(from, msg, &mut out, &mut stats);
+                    seq += 1;
+                }
+                assert_mixed_delays(link.held_up.iter().map(|h| h.0), now);
+            }
+        }
+        assert!(link.held_up.is_empty());
+        assert_eq!(drained, PUSH_TICKS * PER_TICK);
+        assert_eq!(stats.delayed_msgs, PUSH_TICKS * PER_TICK);
+    }
+
+    #[test]
+    fn held_downlinks_drain_in_push_order_and_drop_for_offline_receivers() {
+        let mut link = delay_only_link();
+        let mut stats = NetStats::default();
+        let mut inboxes = vec![Vec::new(); DEVICES];
+        let offline = 3usize;
+        let mut seq = 0u64;
+        for now in 1..=PUSH_TICKS + 3 {
+            link.begin_tick(now, DEVICES);
+            // Device 3 is offline at every drain, online for every push.
+            link.offline_until[offline] = now + 1;
+            let (due, waiting): (Vec<_>, Vec<_>) =
+                link.held_down.iter().copied().partition(|h| h.0 <= now);
+            let mut want = vec![Vec::new(); DEVICES];
+            let mut want_dropped = stats.dropped_msgs;
+            for &(_, to, msg) in &due {
+                if to.index() == offline {
+                    want_dropped += 1;
+                } else {
+                    want[to.index()].push(msg);
+                }
+            }
+            for inbox in &mut inboxes {
+                inbox.clear();
+            }
+            link.drain_due_down(&mut inboxes, &mut stats);
+            assert_eq!(inboxes, want, "tick {now}: due copies out of push order");
+            assert_eq!(stats.dropped_msgs, want_dropped, "tick {now}");
+            assert_eq!(
+                link.held_down, waiting,
+                "tick {now}: waiting copies reordered"
+            );
+            for inbox in &inboxes {
+                let vers: Vec<u64> = inbox
+                    .iter()
+                    .map(|m| match m {
+                        DownlinkMsg::InstallRegion { ver, .. } => *ver,
+                        other => panic!("unexpected {other:?}"),
+                    })
+                    .collect();
+                assert!(vers.windows(2).all(|w| w[0] < w[1]), "tick {now}");
+            }
+            link.offline_until[offline] = 0;
+            if now <= PUSH_TICKS {
+                let mut sink = vec![Vec::new(); DEVICES];
+                for _ in 0..PER_TICK {
+                    let msg = DownlinkMsg::InstallRegion {
+                        query: QueryId(0),
+                        ver: seq,
+                        center: Point::ORIGIN,
+                        vel: Vector::ZERO,
+                        r_out: 10.0,
+                    };
+                    let to = (seq % DEVICES as u64) as usize;
+                    assert!(!link.deliver_down(to, msg, &mut sink, &mut stats));
+                    seq += 1;
+                }
+                assert!(sink.iter().all(Vec::is_empty), "every copy is held");
+                assert_mixed_delays(link.held_down.iter().map(|h| h.0), now);
+            }
+        }
+        assert!(link.held_down.is_empty());
+        assert!(
+            stats.dropped_msgs > 0,
+            "the offline receiver lost its copies"
+        );
     }
 
     #[test]

@@ -449,10 +449,10 @@ pub trait Protocol {
     }
 }
 
-/// Below this population, a parallel client phase falls back to the
-/// sequential loop: per-tick chunk dispatch overhead beats the win for
-/// small worlds, and the small-world golden gates stay trivially on the
-/// sequential path.
+/// Below this many devices, a chunked per-device pass (the parallel client
+/// phase, the scoped downlink's frame flush) falls back to the sequential
+/// loop: per-tick chunk dispatch overhead beats the win for small worlds,
+/// and the small-world golden gates stay trivially on the sequential path.
 pub const PAR_MIN_DEVICES: usize = 4096;
 
 /// Runs a *stateless* per-device client body over the whole population,

@@ -3,7 +3,7 @@
 use crate::{check_answer, DownlinkMode, EpisodeMetrics, SimConfig, SnapshotOracle, VerifyMode};
 use mknn_core::ShardCoordinator;
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Tick};
-use mknn_index::GridIndex;
+use mknn_index::{GridIndex, Neighbor};
 use mknn_mobility::World;
 use mknn_net::{
     AnswerUpdate, CrashWindow, Delivery, DownlinkBuilder, DownlinkMsg, FaultPlan, FaultyLink,
@@ -411,6 +411,9 @@ pub struct Simulation {
     repl: ReplStore,
     /// Whether `SimConfig::downlink` selected the scoped byte model.
     scoped: bool,
+    /// The downlink route's geocast interest set, refilled in place per
+    /// geocast so scoping allocates nothing in steady state.
+    scope_buf: Vec<Neighbor>,
     /// Per query: the answer list most recently pushed to its focal device
     /// (rank order for ordered protocols, canonical ascending-id order
     /// otherwise). The push trigger — replicate when the maintained answer
@@ -509,7 +512,11 @@ impl Simulation {
         let mut ops = OpCounters::default();
         let t0 = Instant::now();
         let scoped = config.downlink == DownlinkMode::Scoped;
-        let mut repl = ReplStore::new();
+        let pool = match config.client_threads {
+            Some(t) => mknn_util::Pool::new(t),
+            None => mknn_util::Pool::from_env(),
+        };
+        let mut repl = ReplStore::with_pool(pool);
         let mut last_sent = vec![Vec::new(); specs.len()];
         let mut builder = scoped.then(|| repl.begin_tick(0));
         {
@@ -537,29 +544,28 @@ impl Simulation {
         metrics.server_seconds += init_secs;
         metrics.ops += ops;
         let t_route = Instant::now();
-        {
-            route(
-                &outbox,
-                &infra,
-                &mut inboxes,
-                &mut metrics.net,
-                None,
-                &mut coord,
-                builder.as_mut(),
-            );
-            replicate_answers(
-                proto.as_ref(),
-                &specs,
-                &mut last_sent,
-                None,
-                &mut metrics.net,
-                builder.as_mut(),
-            );
-            if let Some(b) = builder {
-                b.flush_frames(&mut metrics.net);
-            }
-        }
+        let mut scope_buf = Vec::new();
+        let scope_secs = route(
+            &outbox,
+            &infra,
+            &mut inboxes,
+            &mut metrics.net,
+            None,
+            &mut coord,
+            builder.as_mut(),
+            &mut scope_buf,
+        );
+        replicate_answers(
+            proto.as_ref(),
+            &specs,
+            &mut last_sent,
+            None,
+            &mut metrics.net,
+            builder.as_mut(),
+        );
+        let flush_secs = flush_timed(builder, &mut metrics.net);
         let route_secs = t_route.elapsed().as_secs_f64();
+        book_downlink_clocks(&mut metrics, route_secs, scope_secs, flush_secs);
         metrics.route_seconds += route_secs;
         metrics.proto_seconds += init_secs + route_secs;
         metrics.shard_load = coord.loads();
@@ -580,11 +586,9 @@ impl Simulation {
             coord,
             stale_streak: vec![0; n_queries],
             oracle_brute: std::env::var("MKNN_ORACLE").as_deref() == Ok("brute"),
-            pool: match config.client_threads {
-                Some(t) => mknn_util::Pool::new(t),
-                None => mknn_util::Pool::from_env(),
-            },
+            pool,
             repl,
+            scope_buf,
             scoped,
             last_sent,
             crashes,
@@ -968,33 +972,32 @@ impl Simulation {
 
         // Route phase, downlink side.
         let t_route = Instant::now();
-        {
-            route(
-                &outbox,
-                &self.infra,
-                &mut self.inboxes,
-                &mut self.metrics.net,
-                self.link.as_mut(),
-                &mut self.coord,
-                builder.as_mut(),
-            );
-            // Answer replication rides the same tick's frames: the focal
-            // device of every query whose answer changed since its last
-            // push receives the new list (whole in legacy mode, as a diff
-            // against its acked copy in scoped mode).
-            replicate_answers(
-                self.proto.as_ref(),
-                &self.specs,
-                &mut self.last_sent,
-                self.link.as_ref(),
-                &mut self.metrics.net,
-                builder.as_mut(),
-            );
-            if let Some(b) = builder {
-                b.flush_frames(&mut self.metrics.net);
-            }
-        }
-        route_secs += t_route.elapsed().as_secs_f64();
+        let scope_secs = route(
+            &outbox,
+            &self.infra,
+            &mut self.inboxes,
+            &mut self.metrics.net,
+            self.link.as_mut(),
+            &mut self.coord,
+            builder.as_mut(),
+            &mut self.scope_buf,
+        );
+        // Answer replication rides the same tick's frames: the focal device
+        // of every query whose answer changed since its last push receives
+        // the new list (whole in legacy mode, as a diff against its acked
+        // copy in scoped mode).
+        replicate_answers(
+            self.proto.as_ref(),
+            &self.specs,
+            &mut self.last_sent,
+            self.link.as_ref(),
+            &mut self.metrics.net,
+            builder.as_mut(),
+        );
+        let flush_secs = flush_timed(builder, &mut self.metrics.net);
+        let down_secs = t_route.elapsed().as_secs_f64();
+        book_downlink_clocks(&mut self.metrics, down_secs, scope_secs, flush_secs);
+        route_secs += down_secs;
         self.metrics.client_seconds += client_secs;
         self.metrics.server_seconds += server_secs;
         self.metrics.route_seconds += route_secs;
@@ -1188,7 +1191,9 @@ fn delivery_of(delivered: bool, to: ObjectId, link: Option<&FaultyLink>) -> Deli
 /// Routes an outbox: charges every transmission and fills device inboxes.
 /// With a fault layer, due delayed downlinks are delivered first, then
 /// every individual delivery (one per geocast/broadcast receiver) makes its
-/// own fault draws, in deterministic recipient order.
+/// own fault draws, in deterministic recipient order — a geocast's
+/// receivers in `(dist², id)` order from the zone center, as the grid's
+/// range query yields them into `scope` (a buffer reused per geocast).
 ///
 /// With a [`DownlinkBuilder`] (scoped mode), deliveries are *identical* —
 /// same inboxes, same fault draws, same order — but bytes are not charged
@@ -1196,6 +1201,10 @@ fn delivery_of(delivered: bool, to: ObjectId, link: Option<&FaultyLink>) -> Deli
 /// flushes into per-device frames. Logical message counts (unicast,
 /// geocast-cell, per-kind) are charged the same in both modes. Broadcasts
 /// have no interest set and always use the legacy model.
+///
+/// Returns the seconds spent resolving geocast interest sets (one clock
+/// read per geocast, none per copy).
+#[allow(clippy::too_many_arguments)]
 fn route(
     outbox: &Outbox,
     infra: &GridIndex,
@@ -1204,7 +1213,9 @@ fn route(
     mut link: Option<&mut FaultyLink>,
     coord: &mut ShardCoordinator,
     mut builder: Option<&mut DownlinkBuilder>,
-) {
+    scope: &mut Vec<Neighbor>,
+) -> f64 {
+    let mut scope_secs = 0.0;
     if let Some(link) = link.as_deref_mut() {
         link.drain_due_down(inboxes, stats);
     }
@@ -1247,33 +1258,21 @@ fn route(
                 };
                 stats.count_geocast(msg.kind(), bytes, cells);
                 coord.route_geocast(msg.query(), &zone, stats, link.as_deref_mut());
-                if let Some(b) = builder.as_deref_mut() {
-                    // Scope pass: the devices interested in this send are
-                    // exactly the zone's members (region members and
-                    // imminent entrants), in the same deterministic order
-                    // the legacy loop delivers in.
-                    let interest = DownlinkBuilder::scope(recipient, |z| {
-                        infra.range(z).into_iter().map(|n| n.id).collect()
-                    })
-                    .expect("geocasts always have an interest set");
-                    for id in interest {
-                        let delivered = deliver_one(id, msg, inboxes, stats, link.as_deref_mut());
-                        if id.index() < inboxes.len() {
-                            b.stage(id, *msg, delivery_of(delivered, id, link.as_deref()));
-                        }
-                    }
-                } else if let Some(link) = link.as_deref_mut() {
-                    for n in infra.range(&zone) {
-                        link.deliver_down(n.id.index(), *msg, inboxes, stats);
-                    }
-                } else {
-                    for n in infra.range(&zone) {
-                        // Tolerant like the unicast arm: a recipient id the
-                        // engine has no inbox for (e.g. an index entry for a
-                        // device outside the episode population) is skipped,
-                        // not a panic.
-                        if let Some(inbox) = inboxes.get_mut(n.id.index()) {
-                            inbox.push(*msg);
+                // Scope pass: the devices interested in this send are
+                // exactly the zone's members (region members and imminent
+                // entrants).
+                let t_scope = Instant::now();
+                infra.range_into(&zone, scope);
+                scope_secs += t_scope.elapsed().as_secs_f64();
+                for n in scope.iter() {
+                    // Tolerant like the unicast arm: a recipient id the
+                    // engine has no inbox for (e.g. an index entry for a
+                    // device outside the episode population) gets no copy
+                    // and no frame, not a panic.
+                    let delivered = deliver_one(n.id, msg, inboxes, stats, link.as_deref_mut());
+                    if let Some(b) = builder.as_deref_mut() {
+                        if n.id.index() < inboxes.len() {
+                            b.stage(n.id, *msg, delivery_of(delivered, n.id, link.as_deref()));
                         }
                     }
                 }
@@ -1293,6 +1292,23 @@ fn route(
             }
         }
     }
+    scope_secs
+}
+
+/// Flushes the tick's frames (scoped mode only), returning its seconds.
+fn flush_timed(builder: Option<DownlinkBuilder>, stats: &mut NetStats) -> f64 {
+    let Some(b) = builder else { return 0.0 };
+    let t = Instant::now();
+    b.flush_frames(stats);
+    t.elapsed().as_secs_f64()
+}
+
+/// Books one downlink pass of `pass_secs` into the route sub-clocks: its
+/// scoping and flush seconds, and the rest of the pass as staging.
+fn book_downlink_clocks(m: &mut EpisodeMetrics, pass_secs: f64, scope_secs: f64, flush_secs: f64) {
+    m.scope_seconds += scope_secs;
+    m.flush_seconds += flush_secs;
+    m.stage_seconds += (pass_secs - scope_secs - flush_secs).max(0.0);
 }
 
 #[cfg(test)]
@@ -1409,6 +1425,35 @@ mod tests {
     }
 
     #[test]
+    fn route_sub_clocks_are_non_negative_and_fit_in_the_route_clock() {
+        for downlink in [DownlinkMode::Scoped, DownlinkMode::Legacy] {
+            let cfg = SimConfig {
+                downlink,
+                ..SimConfig::small()
+            };
+            let m = Simulation::new(&cfg, Box::new(Dknn::set(DknnParams::default()))).run();
+            let parts = [m.scope_seconds, m.stage_seconds, m.flush_seconds];
+            assert!(
+                parts.iter().all(|s| s.is_finite() && *s >= 0.0),
+                "{parts:?}"
+            );
+            // Slack for fp accumulation order only.
+            let sum: f64 = parts.iter().sum();
+            assert!(
+                sum <= m.route_seconds + 1e-9,
+                "{downlink:?}: {parts:?} sum past route {}",
+                m.route_seconds
+            );
+            assert!(m.scope_seconds > 0.0 && m.stage_seconds > 0.0, "{parts:?}");
+            assert_eq!(
+                m.flush_seconds > 0.0,
+                downlink == DownlinkMode::Scoped,
+                "only the scoped downlink flushes frames"
+            );
+        }
+    }
+
+    #[test]
     fn route_skips_unknown_recipients_in_every_arm() {
         use mknn_geom::{Circle, Point, Rect};
         let mut infra = GridIndex::new(Rect::square(100.0), 4, 4);
@@ -1435,6 +1480,7 @@ mod tests {
             None,
             &mut coord,
             None,
+            &mut Vec::new(),
         );
         // Device 0: hears the geocast and the broadcast. Device 1: only the
         // broadcast (it is not in the grid). Id 9: dropped in every arm.

@@ -109,6 +109,15 @@ impl ToJson for EpisodeMetrics {
         if self.route_seconds != 0.0 {
             fields.push(("route_seconds", self.route_seconds.to_json()));
         }
+        if self.scope_seconds != 0.0 {
+            fields.push(("scope_seconds", self.scope_seconds.to_json()));
+        }
+        if self.stage_seconds != 0.0 {
+            fields.push(("stage_seconds", self.stage_seconds.to_json()));
+        }
+        if self.flush_seconds != 0.0 {
+            fields.push(("flush_seconds", self.flush_seconds.to_json()));
+        }
         // Like `shard_load` below: only a genuinely sharded tier carries a
         // per-shard timing breakdown.
         if self.shard_seconds.len() > 1 {
@@ -155,6 +164,9 @@ impl FromJson for EpisodeMetrics {
             client_seconds: v.parse_field_or_default("client_seconds")?,
             server_seconds: v.parse_field_or_default("server_seconds")?,
             route_seconds: v.parse_field_or_default("route_seconds")?,
+            scope_seconds: v.parse_field_or_default("scope_seconds")?,
+            stage_seconds: v.parse_field_or_default("stage_seconds")?,
+            flush_seconds: v.parse_field_or_default("flush_seconds")?,
             shard_seconds: v.parse_field_or_default("shard_seconds")?,
             oracle_seconds: v.parse_field_or_default("oracle_seconds")?,
             shard_load: v.parse_field_or_default("shard_load")?,
@@ -412,6 +424,9 @@ mod tests {
             "client_seconds",
             "server_seconds",
             "route_seconds",
+            "scope_seconds",
+            "stage_seconds",
+            "flush_seconds",
             "shard_seconds",
         ] {
             assert!(!s.contains(field), "clock-zeroed documents omit {field}");
@@ -419,6 +434,9 @@ mod tests {
         m.client_seconds = 0.25;
         m.server_seconds = 0.5;
         m.route_seconds = 0.25;
+        m.scope_seconds = 0.0625;
+        m.stage_seconds = 0.125;
+        m.flush_seconds = 0.03125;
         m.shard_seconds = vec![0.3, 0.2];
         roundtrip(&m);
         // A single-server timing vector is omitted, like `shard_load`.

@@ -47,6 +47,18 @@ pub struct EpisodeMetrics {
     /// splitting before the server phase, downlink delivery and answer
     /// replication after it.
     pub route_seconds: f64,
+    /// The part of [`Self::route_seconds`] spent resolving geocast interest
+    /// sets: the grid range query per geocast, in both downlink modes.
+    pub scope_seconds: f64,
+    /// The part of [`Self::route_seconds`] spent in the downlink route
+    /// loop outside scoping: charging, fault draws, inbox delivery, builder
+    /// staging, and answer replication.
+    pub stage_seconds: f64,
+    /// The part of [`Self::route_seconds`] spent flushing the scoped
+    /// downlink's per-device frames (zero in legacy mode). With
+    /// [`Self::scope_seconds`] and [`Self::stage_seconds`] it sums to at
+    /// most the route clock; the rest is the uplink side.
+    pub flush_seconds: f64,
     /// Wall-clock seconds each server shard's task spent inside protocol
     /// code, indexed by shard id and summed over the episode. The parallel
     /// speedup of the server phase is `sum(shard_seconds) /
@@ -181,6 +193,9 @@ impl EpisodeMetrics {
         self.client_seconds = 0.0;
         self.server_seconds = 0.0;
         self.route_seconds = 0.0;
+        self.scope_seconds = 0.0;
+        self.stage_seconds = 0.0;
+        self.flush_seconds = 0.0;
         self.shard_seconds.clear();
         self.oracle_seconds = 0.0;
         self
@@ -249,6 +264,9 @@ mod tests {
             client_seconds: 0.5,
             server_seconds: 0.75,
             route_seconds: 0.25,
+            scope_seconds: 0.0625,
+            stage_seconds: 0.03125,
+            flush_seconds: 0.015625,
             shard_seconds: vec![0.4, 0.35],
             oracle_seconds: 0.125,
             ..Default::default()
@@ -258,6 +276,10 @@ mod tests {
         assert_eq!(z.client_seconds, 0.0);
         assert_eq!(z.server_seconds, 0.0);
         assert_eq!(z.route_seconds, 0.0);
+        assert_eq!(
+            (z.scope_seconds, z.stage_seconds, z.flush_seconds),
+            (0.0, 0.0, 0.0)
+        );
         assert!(z.shard_seconds.is_empty());
         assert_eq!(z.oracle_seconds, 0.0);
         assert_eq!(z, EpisodeMetrics::default());

@@ -39,6 +39,10 @@
 #                models agree on everything but the byte ledger (with the
 #                measured reduction reported), and the scoped smoke run is
 #                byte-identical to the golden across MKNN_THREADS=1 vs 8
+#   perfbench    the repository benchmark (perfbench/) builds against the
+#                current crates and passes its own tests: the Rust suite
+#                (tiny-scale runs, the pin gate) and the `run.py compare`
+#                tests — an API change that breaks the benchmark fails here
 #   speedup      (informational) fast-mode suite on one worker vs all cores
 #
 # Every byte gate routes through `diff` on temp files; a failing
@@ -324,6 +328,12 @@ stage_wire() {
     fi
 }
 
+stage_perfbench() {
+    echo "==> perfbench gate (benchmark build + its Rust and Python tests)"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+    python3 perfbench/tests/test_compare.py
+}
+
 stage_speedup() {
     # Informational: wall-clock of the fast-mode suite on one worker vs.
     # all cores. On a multi-core runner the parallel run should be
@@ -342,7 +352,7 @@ stage_speedup() {
                         seq, cores, par, seq / par }'
 }
 
-ALL_STAGES=(build clippy test fmt determinism golden shards chaos recovery oracle bench tickbench wire speedup)
+ALL_STAGES=(build clippy test fmt determinism golden shards chaos recovery oracle bench tickbench wire perfbench speedup)
 
 stages=("$@")
 if [ ${#stages[@]} -eq 0 ]; then
