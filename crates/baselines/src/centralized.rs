@@ -16,9 +16,9 @@ use mknn_net::{
 /// Answers are exact with respect to true positions. The price is the Θ(N)
 /// uplink firehose — the quantity the distributed protocols eliminate.
 ///
-/// Under a sharded deployment the server state partitions by ownership (see
-/// [`PartitionedTier`]): each shard indexes the objects reporting to it and
-/// answers its homed queries by federated evaluation over all partitions.
+/// Under a sharded deployment the server state partitions by ownership:
+/// each shard indexes the objects reporting to it and answers its homed
+/// queries by federated evaluation over all partitions.
 #[derive(Debug)]
 pub struct Centralized {
     tier: PartitionedTier,
@@ -64,45 +64,19 @@ impl Protocol for Centralized {
         up: &mut Uplinks,
         ops: &mut OpCounters,
     ) {
-        // A device reports whenever it moved this tick.
-        ops.client_ops += 1;
-        if me.vel != mknn_geom::Vector::ZERO {
-            up.send(
-                me.id,
-                UplinkMsg::Position {
-                    pos: me.pos,
-                    vel: me.vel,
-                },
-            );
-        }
+        report_if_moved(me, up, ops);
     }
 
     fn client_phase(&mut self, ctx: &mknn_net::ClientCtx, up: &mut Uplinks, ops: &mut OpCounters) {
-        // The per-device body is stateless (report-if-moved), so the
-        // shared chunked harness applies directly.
-        mknn_net::parallel_client_phase(ctx, up, ops, |_tick, me, _inbox, up, ops| {
-            ops.client_ops += 1;
-            if me.vel != mknn_geom::Vector::ZERO {
-                up.send(
-                    me.id,
-                    UplinkMsg::Position {
-                        pos: me.pos,
-                        vel: me.vel,
-                    },
-                );
-            }
-        });
-    }
-
-    fn server_tick(
-        &mut self,
-        _tick: Tick,
-        uplinks: &Uplinks,
-        _probe: &mut dyn ProbeService,
-        _outbox: &mut Outbox,
-        ops: &mut OpCounters,
-    ) {
-        self.tier.tick_monolithic(uplinks, ops);
+        // The per-device body is stateless, so the chunked harness runs it
+        // over a zero-sized state per device.
+        mknn_net::parallel_client_phase(
+            ctx,
+            &mut vec![(); ctx.len()],
+            up,
+            ops,
+            |_, me, _, up, ops| report_if_moved(me, up, ops),
+        );
     }
 
     fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
@@ -128,10 +102,26 @@ impl Protocol for Centralized {
     }
 }
 
+/// The centralized client: a device reports its position whenever it
+/// moved this tick.
+fn report_if_moved(me: &MovingObject, up: &mut Uplinks, ops: &mut OpCounters) {
+    ops.client_ops += 1;
+    if me.vel != mknn_geom::Vector::ZERO {
+        up.send(
+            me.id,
+            UplinkMsg::Position {
+                pos: me.pos,
+                vel: me.vel,
+            },
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mknn_geom::{Circle, Point, Vector};
+    use mknn_net::single_shard_phase;
     use mknn_net::ObjReport;
 
     struct NoProbe;
@@ -179,7 +169,7 @@ mod tests {
                 vel: Vector::ZERO,
             },
         );
-        c.server_tick(1, &up, &mut NoProbe, &mut outbox, &mut ops);
+        single_shard_phase(&mut c, 1, up, &mut NoProbe, &mut outbox, &mut ops);
         assert_eq!(c.answer(QueryId(0)), &[ObjectId(5), ObjectId(1)]);
     }
 
@@ -209,7 +199,7 @@ mod tests {
                 vel: Vector::ZERO,
             },
         );
-        c.server_tick(1, &up, &mut NoProbe, &mut outbox, &mut ops);
+        single_shard_phase(&mut c, 1, up, &mut NoProbe, &mut outbox, &mut ops);
         assert_eq!(c.answer(QueryId(0)), &[ObjectId(5), ObjectId(4)]);
     }
 

@@ -3,8 +3,8 @@
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Tick, Vector};
 use mknn_mobility::MovingObject;
 use mknn_net::{
-    run_shard_tasks, DownlinkMsg, OpCounters, Outbox, ProbeService, Protocol, QuerySpec,
-    ServerPhase, UplinkMsg, Uplinks,
+    DownlinkMsg, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, ServerPhase, ShardState,
+    ShardedServers, UplinkMsg, Uplinks,
 };
 use std::collections::BTreeMap;
 
@@ -25,6 +25,18 @@ struct NaiveShard {
     queries: BTreeMap<u32, NState>,
 }
 
+impl ShardState for NaiveShard {
+    fn fork(&self) -> NaiveShard {
+        NaiveShard::default()
+    }
+
+    fn move_query(&mut self, id: u32, to: &mut NaiveShard) {
+        if let Some(q) = self.queries.remove(&id) {
+            to.queries.insert(id, q);
+        }
+    }
+}
+
 /// Naive distributed processing: every tick, for every query, the server
 /// geocasts a probe over an adaptive zone around the query position and
 /// rebuilds the answer from the replies.
@@ -42,11 +54,8 @@ pub struct NaiveBroadcast {
     headroom: f64,
     /// Client-side registry (focal → query), shared by every device.
     specs: Vec<QuerySpec>,
-    /// Per-shard query records (a single entry until the first partitioned
-    /// server phase forks the tier).
-    shards: Vec<NaiveShard>,
-    /// Hosting shard per query id.
-    home_of: Vec<u32>,
+    /// Per-shard query records.
+    shards: ShardedServers<NaiveShard>,
     space_diag: f64,
     empty: Vec<ObjectId>,
 }
@@ -59,8 +68,7 @@ impl NaiveBroadcast {
         NaiveBroadcast {
             headroom,
             specs: Vec::new(),
-            shards: vec![NaiveShard::default()],
-            home_of: Vec::new(),
+            shards: ShardedServers::new(NaiveShard::default()),
             space_diag: 1.0,
             empty: Vec::new(),
         }
@@ -99,28 +107,6 @@ impl NaiveBroadcast {
             state.radius = d2.sqrt() * headroom;
         }
     }
-
-    /// Evaluates every query ascending query id across the whole tier —
-    /// the monolithic evaluation order.
-    fn evaluate_all(&mut self, probe: &mut dyn ProbeService, ops: &mut OpCounters) {
-        let (space_diag, headroom) = (self.space_diag, self.headroom);
-        let mut ids: Vec<u32> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.queries.keys().copied())
-            .collect();
-        ids.sort_unstable();
-        for qi in ids {
-            let h = self.home_of[qi as usize] as usize;
-            let state = self.shards[h].queries.get_mut(&qi).expect("home directory");
-            Self::evaluate_state(state, probe, ops, space_diag, headroom);
-        }
-    }
-
-    fn holder(&self, query: QueryId) -> Option<&NaiveShard> {
-        let h = self.home_of.get(query.index()).copied().unwrap_or(0) as usize;
-        self.shards.get(h.min(self.shards.len() - 1))
-    }
 }
 
 impl Default for NaiveBroadcast {
@@ -145,10 +131,9 @@ impl Protocol for NaiveBroadcast {
     ) {
         self.space_diag = bounds.min.dist(bounds.max);
         self.specs = queries.to_vec();
-        self.shards = vec![NaiveShard::default()];
-        self.home_of = vec![0; queries.len()];
+        let shard = self.shards.reset(queries.len());
         for spec in queries {
-            self.shards[0].queries.insert(
+            shard.queries.insert(
                 spec.id.0,
                 NState {
                     spec: *spec,
@@ -158,7 +143,11 @@ impl Protocol for NaiveBroadcast {
                 },
             );
         }
-        self.evaluate_all(probe, ops);
+        // Registration homes every query at shard 0, so this is the
+        // ascending-id evaluation of the whole tier.
+        for state in shard.queries.values_mut() {
+            Self::evaluate_state(state, probe, ops, self.space_diag, self.headroom);
+        }
     }
 
     fn client_tick(
@@ -182,69 +171,16 @@ impl Protocol for NaiveBroadcast {
                         vel: me.vel,
                     },
                 );
-                // Client-side mirror; the server reads the uplink.
-                let h = self.home_of.get(spec.id.index()).copied().unwrap_or(0) as usize;
-                if let Some(q) = self.shards[h].queries.get_mut(&spec.id.0) {
-                    q.q_pos = me.pos;
-                }
             }
         }
-    }
-
-    fn server_tick(
-        &mut self,
-        _tick: Tick,
-        uplinks: &Uplinks,
-        probe: &mut dyn ProbeService,
-        _outbox: &mut Outbox,
-        ops: &mut OpCounters,
-    ) {
-        for (from, msg) in uplinks.iter() {
-            if let UplinkMsg::QueryMove { query, pos, .. } = msg {
-                let h = self.home_of.get(query.index()).copied().unwrap_or(0) as usize;
-                if let Some(q) = self.shards[h].queries.get_mut(&query.0) {
-                    if q.spec.focal == from {
-                        q.q_pos = *pos;
-                    }
-                }
-            }
-        }
-        self.evaluate_all(probe, ops);
     }
 
     fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
-        debug_assert!(
-            phase
-                .tasks
-                .iter()
-                .enumerate()
-                .all(|(i, t)| t.shard as usize == i),
-            "tasks must be dense ascending shard ids"
-        );
-        while self.shards.len() < phase.tasks.len() {
-            self.shards.push(NaiveShard::default());
-        }
-        // Re-home query records to this tick's coordinator homes.
-        if self.home_of.len() < phase.homes.len() {
-            self.home_of.resize(phase.homes.len(), 0);
-        }
-        for (q, (&new_home, old_home)) in
-            phase.homes.iter().zip(self.home_of.iter_mut()).enumerate()
-        {
-            if *old_home != new_home {
-                if let Some(state) = self.shards[*old_home as usize].queries.remove(&(q as u32)) {
-                    self.shards[new_home as usize]
-                        .queries
-                        .insert(q as u32, state);
-                }
-                *old_home = new_home;
-            }
-        }
         // Each shard ingests its homed QueryMoves and probes for its homed
         // queries through its own probe channel — per-query state never
         // crosses shards mid-phase.
         let (space_diag, headroom) = (self.space_diag, self.headroom);
-        run_shard_tasks(phase.pool, &mut self.shards, phase.tasks, |shard, task| {
+        self.shards.run_phase(phase, |shard, task| {
             let up = std::mem::take(&mut task.uplinks);
             for (from, msg) in up.iter() {
                 if let UplinkMsg::QueryMove { query, pos, .. } = msg {
@@ -273,7 +209,7 @@ impl Protocol for NaiveBroadcast {
         // crash costs one tick of answer loss plus the re-grown zone. Each
         // query lives in exactly one shard, so the sweep touches exactly
         // its holder.
-        for shard in &mut self.shards {
+        for shard in self.shards.shards_mut() {
             for &q in queries {
                 if let Some(state) = shard.queries.get_mut(&q.0) {
                     state.answer.clear();
@@ -284,8 +220,10 @@ impl Protocol for NaiveBroadcast {
     }
 
     fn answer(&self, query: QueryId) -> &[ObjectId] {
-        self.holder(query)
-            .and_then(|s| s.queries.get(&query.0))
+        self.shards
+            .holder(query)
+            .queries
+            .get(&query.0)
             .map_or(&self.empty, |q| q.answer.as_slice())
     }
 }
@@ -293,6 +231,7 @@ impl Protocol for NaiveBroadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mknn_net::single_shard_phase;
     use mknn_net::ObjReport;
 
     struct TableProbe {
@@ -356,7 +295,7 @@ mod tests {
         // Every subsequent tick probes again even with zero movement.
         let before = probe.probes;
         let up = Uplinks::new();
-        n.server_tick(1, &up, &mut probe, &mut outbox, &mut ops);
+        single_shard_phase(&mut n, 1, up, &mut probe, &mut outbox, &mut ops);
         assert!(probe.probes > before);
         assert_eq!(
             n.answer(QueryId(0)),
@@ -395,7 +334,42 @@ mod tests {
                 vel: Vector::ZERO,
             },
         );
-        n.server_tick(1, &up, &mut probe, &mut outbox, &mut ops);
+        single_shard_phase(&mut n, 1, up, &mut probe, &mut outbox, &mut ops);
         assert_eq!(n.answer(QueryId(0)), &[ObjectId(7), ObjectId(6)]);
+    }
+
+    #[test]
+    fn server_learns_the_focal_position_only_from_query_move() {
+        let mut n = NaiveBroadcast::default();
+        let queries = [QuerySpec {
+            id: QueryId(0),
+            focal: ObjectId(0),
+            k: 2,
+        }];
+        let mut probe = TableProbe {
+            positions: objs().iter().map(|o| o.pos).collect(),
+            probes: 0,
+        };
+        let mut outbox = Outbox::new();
+        let mut ops = OpCounters::default();
+        n.init(
+            Rect::square(10_000.0),
+            &objs(),
+            &queries,
+            &mut probe,
+            &mut outbox,
+            &mut ops,
+        );
+        // The focal drives to the far end and sends its QueryMove, but the
+        // uplink is lost: the server phase never sees it.
+        let mut moved = objs()[0];
+        moved.pos = Point::new(690.0, 0.0);
+        moved.vel = Vector::new(690.0, 0.0);
+        let mut up = Uplinks::new();
+        n.client_tick(1, &moved, &[], &mut up, &mut ops);
+        assert_eq!(up.len(), 1, "the focal reports its move");
+        single_shard_phase(&mut n, 1, Uplinks::new(), &mut probe, &mut outbox, &mut ops);
+        // The answer is still the kNN of the last position the server heard.
+        assert_eq!(n.answer(QueryId(0)), &[ObjectId(1), ObjectId(2)]);
     }
 }

@@ -30,7 +30,8 @@ use mknn_geom::{ObjectId, Point, QueryId, Rect};
 use mknn_index::GridIndex;
 use mknn_mobility::MovingObject;
 use mknn_net::{
-    run_shard_tasks, ObjReport, OpCounters, QuerySpec, ServerPhase, UplinkMsg, Uplinks,
+    run_shard_tasks, ObjReport, OpCounters, QuerySpec, ServerPhase, ShardState, ShardedServers,
+    UplinkMsg,
 };
 use std::collections::BTreeMap;
 
@@ -47,6 +48,18 @@ pub(crate) struct QState {
 #[derive(Debug, Default)]
 pub(crate) struct QueryShard {
     pub queries: BTreeMap<u32, QState>,
+}
+
+impl ShardState for QueryShard {
+    fn fork(&self) -> QueryShard {
+        QueryShard::default()
+    }
+
+    fn move_query(&mut self, id: u32, to: &mut QueryShard) {
+        if let Some(q) = self.queries.remove(&id) {
+            to.queries.insert(id, q);
+        }
+    }
 }
 
 /// Per-shard index mutation work collected by the sequential pre-pass and
@@ -67,14 +80,12 @@ pub(crate) struct PartitionedTier {
     grid_res: u32,
     bounds: Rect,
     /// One partial index per shard (a single entry until the first
-    /// partitioned server phase forks the tier).
+    /// server phase forks the tier).
     parts: Vec<GridIndex>,
     /// Shard currently holding each object's index entry, by object index.
     entry_of: Vec<u32>,
-    /// Per-shard query records, indexed by shard id.
-    shards: Vec<QueryShard>,
-    /// Hosting shard per query id (mirror of the coordinator's directory).
-    home_of: Vec<u32>,
+    /// Per-shard query records.
+    shards: ShardedServers<QueryShard>,
     /// Query ids keyed by focal object id (a focal `Position` report also
     /// recenters those queries).
     focal_queries: BTreeMap<u32, Vec<u32>>,
@@ -88,8 +99,7 @@ impl PartitionedTier {
             bounds: Rect::square(1.0),
             parts: vec![GridIndex::new(Rect::square(1.0), 1, 1)],
             entry_of: Vec::new(),
-            shards: vec![QueryShard::default()],
-            home_of: Vec::new(),
+            shards: ShardedServers::new(QueryShard::default()),
             focal_queries: BTreeMap::new(),
             empty: Vec::new(),
         }
@@ -106,20 +116,19 @@ impl PartitionedTier {
     ) {
         self.bounds = bounds;
         self.parts = vec![GridIndex::new(bounds, self.grid_res, self.grid_res)];
-        self.shards = vec![QueryShard::default()];
         self.entry_of = vec![0; objects.len()];
-        self.home_of = vec![0; queries.len()];
         self.focal_queries.clear();
         for o in objects {
             self.parts[0].upsert(o.id, o.pos);
             ops.server_ops += 1;
         }
+        let shard = self.shards.reset(queries.len());
         for spec in queries {
             self.focal_queries
                 .entry(spec.focal.0)
                 .or_default()
                 .push(spec.id.0);
-            self.shards[0].queries.insert(
+            shard.queries.insert(
                 spec.id.0,
                 QState {
                     spec: *spec,
@@ -128,7 +137,8 @@ impl PartitionedTier {
                 },
             );
         }
-        self.evaluate_all(ops);
+        let parts: Vec<&GridIndex> = self.parts.iter().collect();
+        Self::evaluate_shard(&parts, shard, ops);
     }
 
     /// Recenters the queries whose focal is `from` (wherever they are
@@ -136,8 +146,8 @@ impl PartitionedTier {
     fn recenter_focal(&mut self, from: ObjectId, pos: Point) {
         if let Some(qis) = self.focal_queries.get(&from.0) {
             for &qi in qis {
-                let h = self.home_of[qi as usize] as usize;
-                if let Some(qs) = self.shards[h].queries.get_mut(&qi) {
+                let holder = self.shards.holder_mut(QueryId(qi));
+                if let Some(qs) = holder.queries.get_mut(&qi) {
                     qs.q_pos = pos;
                 }
             }
@@ -160,82 +170,19 @@ impl PartitionedTier {
         }
     }
 
-    /// Evaluates every query, ascending query id across the whole tier —
-    /// the monolithic evaluation order.
-    fn evaluate_all(&mut self, ops: &mut OpCounters) {
-        let parts: Vec<&GridIndex> = self.parts.iter().collect();
-        let mut ids: Vec<u32> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.queries.keys().copied())
-            .collect();
-        ids.sort_unstable();
-        for qi in ids {
-            let h = self.home_of[qi as usize] as usize;
-            let qs = self.shards[h].queries.get_mut(&qi).expect("home directory");
-            let (nn, work) = GridIndex::knn_counted_multi(&parts, qs.q_pos, qs.spec.k + 1);
-            ops.server_ops += work;
-            qs.answer = nn
-                .into_iter()
-                .filter(|n| n.id != qs.spec.focal)
-                .take(qs.spec.k)
-                .map(|n| n.id)
-                .collect();
-        }
-    }
-
-    /// The monolithic server tick (G=1 deployments and unit tests): ingest
-    /// position reports in batch order, then re-evaluate every query.
-    pub fn tick_monolithic(&mut self, uplinks: &Uplinks, ops: &mut OpCounters) {
-        for (from, msg) in uplinks.iter() {
-            if let UplinkMsg::Position { pos, .. } = msg {
-                let h = self.entry_of.get(from.index()).copied().unwrap_or(0) as usize;
-                self.parts[h].upsert(from, *pos);
-                ops.server_ops += 1;
-                self.recenter_focal(from, *pos);
-            }
-        }
-        self.evaluate_all(ops);
-    }
-
-    /// Grows the tier to at least `n` partitions (empty index + no queries;
-    /// state arrives via the ownership rules).
+    /// Grows the index tier to at least `n` partial indexes (empty; entries
+    /// arrive via the ownership rules).
     fn ensure_parts(&mut self, n: usize) {
         while self.parts.len() < n {
             self.parts
                 .push(GridIndex::new(self.bounds, self.grid_res, self.grid_res));
-            self.shards.push(QueryShard::default());
         }
     }
 
     /// The partitioned per-tick phase. See the module docs for the
     /// sub-phase structure and the equivalence argument.
     pub fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
-        debug_assert!(
-            phase
-                .tasks
-                .iter()
-                .enumerate()
-                .all(|(i, t)| t.shard as usize == i),
-            "tasks must be dense ascending shard ids"
-        );
         self.ensure_parts(phase.tasks.len());
-        // Re-home query records to this tick's coordinator homes.
-        if self.home_of.len() < phase.homes.len() {
-            self.home_of.resize(phase.homes.len(), 0);
-        }
-        for (q, (&new_home, old_home)) in
-            phase.homes.iter().zip(self.home_of.iter_mut()).enumerate()
-        {
-            if *old_home != new_home {
-                if let Some(state) = self.shards[*old_home as usize].queries.remove(&(q as u32)) {
-                    self.shards[new_home as usize]
-                        .queries
-                        .insert(q as u32, state);
-                }
-                *old_home = new_home;
-            }
-        }
         // Sequential pre-pass: turn each shard's Position uplinks into its
         // index work list, moving entry ownership to the arrival shard, and
         // recenter focal queries. All reports from one device arrive at one
@@ -275,10 +222,11 @@ impl PartitionedTier {
             }
             task.ops.server_ops += w.n_ops;
         });
-        // Barrier, then sub-phase B: every shard evaluates its homed
+        // Barrier, then sub-phase B: the query records re-home to this
+        // tick's coordinator homes and every shard evaluates its homed
         // queries over the quiescent partitions (shared read-only).
         let parts: Vec<&GridIndex> = self.parts.iter().collect();
-        run_shard_tasks(phase.pool, &mut self.shards, phase.tasks, |shard, task| {
+        self.shards.run_phase(phase, |shard, task| {
             Self::evaluate_shard(&parts, shard, &mut task.ops);
         });
     }
@@ -297,7 +245,7 @@ impl PartitionedTier {
                 part.remove(id);
             }
         }
-        for shard in &mut self.shards {
+        for shard in self.shards.shards_mut() {
             for &q in queries {
                 if let Some(qs) = shard.queries.get_mut(&q.0) {
                     qs.answer.clear();
@@ -327,21 +275,20 @@ impl PartitionedTier {
 
     /// The maintained answer of `query`.
     pub fn answer(&self, query: QueryId) -> &[ObjectId] {
-        self.holder(query)
-            .and_then(|s| s.queries.get(&query.0))
+        self.shards
+            .holder(query)
+            .queries
+            .get(&query.0)
             .map_or(&self.empty, |qs| qs.answer.as_slice())
     }
 
     /// Latest known focal position of `query` (the effective center of the
     /// lazy baselines' possibly-stale answers).
     pub fn q_pos(&self, query: QueryId) -> Option<Point> {
-        self.holder(query)
-            .and_then(|s| s.queries.get(&query.0))
+        self.shards
+            .holder(query)
+            .queries
+            .get(&query.0)
             .map(|qs| qs.q_pos)
-    }
-
-    fn holder(&self, query: QueryId) -> Option<&QueryShard> {
-        let h = self.home_of.get(query.index()).copied().unwrap_or(0) as usize;
-        self.shards.get(h.min(self.shards.len() - 1))
     }
 }

@@ -18,8 +18,9 @@ use mknn_net::{
 /// measures the resulting error instead of asserting exactness
 /// ([`Protocol::guarantees_exact`] is `false`).
 ///
-/// The server side shares the [`PartitionedTier`] with [`crate::Centralized`]
-/// — the two baselines differ only in the client reporting policy.
+/// The server side is the same partitioned grid-index tier as
+/// [`crate::Centralized`]'s — the two baselines differ only in the client
+/// reporting policy.
 #[derive(Debug)]
 pub struct Periodic {
     period: u64,
@@ -73,77 +74,21 @@ impl Protocol for Periodic {
         up: &mut Uplinks,
         ops: &mut OpCounters,
     ) {
-        ops.client_ops += 1;
-        let scheduled = (tick + me.id.0 as u64).is_multiple_of(self.period);
-        if scheduled && self.last_reported[me.id.index()] != me.pos {
-            up.send(
-                me.id,
-                UplinkMsg::Position {
-                    pos: me.pos,
-                    vel: me.vel,
-                },
-            );
-            self.last_reported[me.id.index()] = me.pos;
-        }
+        let last = &mut self.last_reported[me.id.index()];
+        report_on_schedule(self.period, tick, me, last, up, ops);
     }
 
     fn client_phase(&mut self, ctx: &mknn_net::ClientCtx, up: &mut Uplinks, ops: &mut OpCounters) {
         // The only client state is the per-device last-reported position,
-        // so chunks of that array are independent; merge in chunk order.
-        let n = ctx.len();
-        if ctx.pool.threads() <= 1 || n < mknn_net::PAR_MIN_DEVICES {
-            for i in 0..n {
-                if ctx.is_offline(i) {
-                    continue;
-                }
-                let me = ctx.object(i);
-                self.client_tick(ctx.tick, &me, &ctx.inboxes[i], up, ops);
-            }
-            return;
-        }
+        // so chunks of that array are independent.
         let period = self.period;
-        let chunk = ctx.pool.chunk_size(n);
-        let parts = ctx
-            .pool
-            .map_chunks_mut(&mut self.last_reported, chunk, |base, last| {
-                let mut up_c = Uplinks::new();
-                let mut ops_c = OpCounters::default();
-                for (j, last_pos) in last.iter_mut().enumerate() {
-                    let i = base + j;
-                    if ctx.is_offline(i) {
-                        continue;
-                    }
-                    let me = ctx.object(i);
-                    ops_c.client_ops += 1;
-                    let scheduled = (ctx.tick + me.id.0 as u64).is_multiple_of(period);
-                    if scheduled && *last_pos != me.pos {
-                        up_c.send(
-                            me.id,
-                            UplinkMsg::Position {
-                                pos: me.pos,
-                                vel: me.vel,
-                            },
-                        );
-                        *last_pos = me.pos;
-                    }
-                }
-                (up_c, ops_c)
-            });
-        for (mut up_c, ops_c) in parts {
-            up.append(&mut up_c);
-            *ops += ops_c;
-        }
-    }
-
-    fn server_tick(
-        &mut self,
-        _tick: Tick,
-        uplinks: &Uplinks,
-        _probe: &mut dyn ProbeService,
-        _outbox: &mut Outbox,
-        ops: &mut OpCounters,
-    ) {
-        self.tier.tick_monolithic(uplinks, ops);
+        mknn_net::parallel_client_phase(
+            ctx,
+            &mut self.last_reported,
+            up,
+            ops,
+            |last, me, _, up, ops| report_on_schedule(period, ctx.tick, me, last, up, ops),
+        );
     }
 
     fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
@@ -176,10 +121,35 @@ impl Protocol for Periodic {
     }
 }
 
+/// The periodic client: a device reports on its staggered schedule,
+/// unless it has not moved since its last report (`last`).
+fn report_on_schedule(
+    period: u64,
+    tick: Tick,
+    me: &MovingObject,
+    last: &mut Point,
+    up: &mut Uplinks,
+    ops: &mut OpCounters,
+) {
+    ops.client_ops += 1;
+    let scheduled = (tick + me.id.0 as u64).is_multiple_of(period);
+    if scheduled && *last != me.pos {
+        up.send(
+            me.id,
+            UplinkMsg::Position {
+                pos: me.pos,
+                vel: me.vel,
+            },
+        );
+        *last = me.pos;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mknn_geom::{Circle, Vector};
+    use mknn_net::single_shard_phase;
     use mknn_net::ObjReport;
 
     struct NoProbe;
@@ -274,7 +244,7 @@ mod tests {
         // Object 3 silently became closest; without a report the answer
         // must still be the stale one.
         let up = Uplinks::new();
-        p.server_tick(1, &up, &mut NoProbe, &mut outbox, &mut ops);
+        single_shard_phase(&mut p, 1, up, &mut NoProbe, &mut outbox, &mut ops);
         assert_eq!(p.answer(QueryId(0)), &[ObjectId(1)]);
         assert!(!p.guarantees_exact());
     }

@@ -4,8 +4,8 @@ use crate::{ClientHalf, DknnParams, Mode, ParamError, ServerHalf};
 use mknn_geom::{ObjectId, Point, QueryId, Rect, Tick};
 use mknn_mobility::MovingObject;
 use mknn_net::{
-    run_shard_tasks, DownlinkMsg, OpCounters, Outbox, ProbeService, Protocol, QuerySpec,
-    ServerPhase, Uplinks,
+    DownlinkMsg, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, ServerPhase,
+    ShardedServers, Uplinks,
 };
 
 /// Distributed processing of moving k-nearest-neighbor queries — the
@@ -30,14 +30,10 @@ pub struct Dknn {
     params: DknnParams,
     mode: Mode,
     client: ClientHalf,
-    /// One [`ServerHalf`] per shard of the deployed server tier. A single
-    /// entry until the first partitioned [`Protocol::server_phase`] forks
-    /// the tier lazily to the deployment width; each partition owns exactly
-    /// the per-query server state homed at its shard.
-    servers: Vec<ServerHalf>,
-    /// Hosting shard per query id — the protocol-side mirror of the
-    /// coordinator's query-home directory, updated as queries migrate.
-    home_of: Vec<u32>,
+    /// One [`ServerHalf`] per shard of the deployed server tier; each
+    /// partition owns exactly the per-query server state homed at its
+    /// shard.
+    servers: ShardedServers<ServerHalf>,
     lossy: bool,
 }
 
@@ -79,8 +75,7 @@ impl Dknn {
             params,
             mode,
             client: ClientHalf::new(params, 0),
-            servers: vec![ServerHalf::new(params, mode)],
-            home_of: Vec::new(),
+            servers: ShardedServers::new(ServerHalf::new(params, mode)),
             lossy: false,
         })
     }
@@ -92,23 +87,25 @@ impl Dknn {
 
     /// Number of full refreshes performed so far (diagnostics).
     pub fn refreshes(&self) -> u64 {
-        self.servers.iter().map(|s| s.total_refreshes()).sum()
+        self.servers
+            .shards()
+            .iter()
+            .map(|s| s.total_refreshes())
+            .sum()
     }
 
     /// Number of locally patched band events (ordered mode diagnostics).
     pub fn band_fixes(&self) -> u64 {
-        self.servers.iter().map(|s| s.total_band_fixes()).sum()
+        self.servers
+            .shards()
+            .iter()
+            .map(|s| s.total_band_fixes())
+            .sum()
     }
 
     /// Diagnostic: regions installed on device `idx` right now.
     pub fn client_regions(&self, idx: usize) -> usize {
         self.client.installed_regions(idx)
-    }
-
-    /// The partition hosting `query` (partition 0 until first homed).
-    fn server_of(&self, query: QueryId) -> &ServerHalf {
-        let h = self.home_of.get(query.index()).copied().unwrap_or(0) as usize;
-        &self.servers[h.min(self.servers.len() - 1)]
     }
 }
 
@@ -123,7 +120,7 @@ impl Protocol for Dknn {
     fn set_lossy(&mut self, lossy: bool) {
         self.lossy = lossy;
         self.client.set_lossy(lossy);
-        for server in &mut self.servers {
+        for server in self.servers.shards_mut() {
             server.set_lossy(lossy);
         }
     }
@@ -143,10 +140,10 @@ impl Protocol for Dknn {
             self.client.set_focal(spec.focal.index(), spec.id);
         }
         // Registration is a single-server act: the tier forks into its
-        // partitions lazily at the first partitioned server phase.
-        self.servers.truncate(1);
-        self.servers[0].init(bounds, objects, queries, outbox, ops);
-        self.home_of = vec![0; queries.len()];
+        // partitions lazily at the first server phase.
+        self.servers
+            .reset(queries.len())
+            .init(bounds, objects, queries, outbox, ops);
     }
 
     fn client_tick(
@@ -167,66 +164,21 @@ impl Protocol for Dknn {
         self.client.tick_batch(ctx, up, ops);
     }
 
-    fn server_tick(
-        &mut self,
-        tick: Tick,
-        uplinks: &Uplinks,
-        probe: &mut dyn ProbeService,
-        outbox: &mut Outbox,
-        ops: &mut OpCounters,
-    ) {
-        self.servers[0].tick(tick, uplinks, probe, outbox, ops);
-    }
-
     fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
-        debug_assert!(
-            phase
-                .tasks
-                .iter()
-                .enumerate()
-                .all(|(i, t)| t.shard as usize == i),
-            "tasks must be dense ascending shard ids"
-        );
-        // Fork the tier lazily to the deployment width.
-        while self.servers.len() < phase.tasks.len() {
-            let next = self.servers[0].fork_empty();
-            self.servers.push(next);
-        }
-        // Migrate per-query server state to this tick's coordinator homes.
-        // Each query lives in exactly one partition, so a move is a map
-        // remove + insert — this is the state the Migrate leg ships.
-        if self.home_of.len() < phase.homes.len() {
-            self.home_of.resize(phase.homes.len(), 0);
-        }
-        for (q, (&new_home, old_home)) in
-            phase.homes.iter().zip(self.home_of.iter_mut()).enumerate()
-        {
-            if *old_home != new_home {
-                if let Some(state) = self.servers[*old_home as usize].take_query(q as u32) {
-                    self.servers[new_home as usize].insert_query(q as u32, state);
-                }
-                *old_home = new_home;
-            }
-        }
         // Every partition ticks independently on the uplinks homed at its
         // shard; per-query state never crosses partitions mid-phase, so the
         // parallel dispatch is deterministic at any thread count.
         let tick = phase.tick;
-        run_shard_tasks(
-            phase.pool,
-            &mut self.servers,
-            phase.tasks,
-            |server, task| {
-                let up = std::mem::take(&mut task.uplinks);
-                server.tick(
-                    tick,
-                    &up,
-                    task.probe.as_mut(),
-                    &mut task.outbox,
-                    &mut task.ops,
-                );
-            },
-        );
+        self.servers.run_phase(phase, |server, task| {
+            let up = std::mem::take(&mut task.uplinks);
+            server.tick(
+                tick,
+                &up,
+                task.probe.as_mut(),
+                &mut task.outbox,
+                &mut task.ops,
+            );
+        });
     }
 
     fn server_crash(&mut self, _shard: u32, _block: Rect, queries: &[QueryId]) {
@@ -235,7 +187,7 @@ impl Protocol for Dknn {
         // the ordinary refresh machinery: the next server tick probes and
         // re-establishes each wiped query. Each query lives in exactly one
         // partition, so wiping across the tier touches exactly its holder.
-        for server in &mut self.servers {
+        for server in self.servers.shards_mut() {
             server.crash_queries(queries);
         }
     }
@@ -245,11 +197,11 @@ impl Protocol for Dknn {
     // boundary objects only matter to methods that track positions.
 
     fn answer(&self, query: QueryId) -> &[ObjectId] {
-        self.server_of(query).answer(query)
+        self.servers.holder(query).answer(query)
     }
 
     fn effective_center(&self, query: QueryId) -> Option<Point> {
-        self.server_of(query).effective_center(query)
+        self.servers.holder(query).effective_center(query)
     }
 
     fn ordered_answers(&self) -> bool {

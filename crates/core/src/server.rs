@@ -11,7 +11,7 @@ use crate::{DknnParams, Mode, RegionVersion};
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Tick, Vector};
 use mknn_net::{
     DownlinkMsg, MsgKind, ObjReport, OpCounters, Outbox, ProbeService, QuerySpec, Recipient,
-    UplinkMsg, Uplinks,
+    ShardState, UplinkMsg, Uplinks,
 };
 use std::collections::BTreeMap;
 
@@ -58,8 +58,8 @@ pub(crate) struct ServerQuery {
 /// exactly the queries homed there (keyed by query id; the `BTreeMap`
 /// iterates ascending, which at G=1 is the historical dense-`Vec` order, so
 /// the single-shard byte trace is unchanged). Queries move between
-/// partitions via [`Self::take_query`] / [`Self::insert_query`] when the
-/// coordinator migrates them.
+/// partitions through its [`ShardState`] impl when the coordinator migrates
+/// them.
 #[derive(Debug)]
 pub struct ServerHalf {
     params: DknnParams,
@@ -86,32 +86,6 @@ impl ServerHalf {
             current_tick: 0,
             lossy: false,
         }
-    }
-
-    /// A fresh partition with this half's configuration (parameters, mode,
-    /// world diagonal, lossy switch, clock) and no queries — the starting
-    /// point for a sibling shard when the tier is split.
-    pub fn fork_empty(&self) -> ServerHalf {
-        ServerHalf {
-            params: self.params,
-            mode: self.mode,
-            queries: BTreeMap::new(),
-            space_diag: self.space_diag,
-            empty: Vec::new(),
-            current_tick: self.current_tick,
-            lossy: self.lossy,
-        }
-    }
-
-    /// Removes query `id`'s server state from this partition (a migrate leg
-    /// shipping it to another shard).
-    pub(crate) fn take_query(&mut self, id: u32) -> Option<ServerQuery> {
-        self.queries.remove(&id)
-    }
-
-    /// Installs migrated server state for query `id` into this partition.
-    pub(crate) fn insert_query(&mut self, id: u32, q: ServerQuery) {
-        self.queries.insert(id, q);
     }
 
     /// Number of queries homed in this partition.
@@ -448,6 +422,28 @@ impl ServerHalf {
                     r_out: q.ver.t,
                 },
             );
+        }
+    }
+}
+
+impl ShardState for ServerHalf {
+    /// A fresh partition with this half's configuration (parameters, mode,
+    /// world diagonal, lossy switch, clock) and no queries.
+    fn fork(&self) -> ServerHalf {
+        ServerHalf {
+            params: self.params,
+            mode: self.mode,
+            queries: BTreeMap::new(),
+            space_diag: self.space_diag,
+            empty: Vec::new(),
+            current_tick: self.current_tick,
+            lossy: self.lossy,
+        }
+    }
+
+    fn move_query(&mut self, id: u32, to: &mut ServerHalf) {
+        if let Some(q) = self.queries.remove(&id) {
+            to.queries.insert(id, q);
         }
     }
 }

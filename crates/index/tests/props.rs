@@ -2,7 +2,7 @@
 //! (mknn-util `check` harness).
 
 use mknn_geom::{Circle, ObjectId, Point, Rect};
-use mknn_index::{bruteforce, GridIndex, KdTree, RTree};
+use mknn_index::{bruteforce, GridIndex, KdTree};
 use mknn_util::check::forall;
 use mknn_util::Rng;
 
@@ -41,36 +41,6 @@ fn grid_knn_equals_bruteforce() {
 }
 
 #[test]
-fn rtree_knn_equals_bruteforce() {
-    forall(CASES, |rng| {
-        let w = world(rng, 200);
-        let q = pt(rng);
-        let k = rng.gen_range(0usize..20);
-        let t = RTree::bulk_load(w.clone());
-        let got = t.knn(q, k);
-        let want = bruteforce::knn(w.clone(), q, k);
-        assert_eq!(ids(&got), ids(&want));
-    });
-}
-
-#[test]
-fn rtree_incremental_equals_bulk() {
-    forall(CASES, |rng| {
-        let w = world(rng, 120);
-        let q = pt(rng);
-        let k = rng.gen_range(1usize..10);
-        let bulk = RTree::bulk_load(w.clone());
-        let mut inc = RTree::new();
-        for &(id, p) in &w {
-            inc.insert(id, p);
-        }
-        inc.check_invariants().unwrap();
-        bulk.check_invariants().unwrap();
-        assert_eq!(ids(&bulk.knn(q, k)), ids(&inc.knn(q, k)));
-    });
-}
-
-#[test]
 fn kdtree_knn_equals_bruteforce() {
     forall(CASES, |rng| {
         let w = world(rng, 200);
@@ -103,22 +73,10 @@ fn three_indexes_agree() {
         for &(id, p) in &w {
             g.upsert(id, p);
         }
-        let r = RTree::bulk_load(w.clone());
         let kd = KdTree::build(w.clone());
-        assert_eq!(ids(&g.knn(q, k)), ids(&r.knn(q, k)));
-        assert_eq!(ids(&r.knn(q, k)), ids(&kd.knn(q, k)));
-    });
-}
-
-#[test]
-fn nearest_iter_prefix_equals_knn() {
-    forall(CASES, |rng| {
-        let w = world(rng, 150);
-        let q = pt(rng);
-        let k = rng.gen_range(0usize..20);
-        let t = RTree::bulk_load(w.clone());
-        let prefix: Vec<u32> = t.nearest_iter(q).take(k).map(|n| n.id.0).collect();
-        assert_eq!(prefix, ids(&t.knn(q, k)));
+        let want = ids(&bruteforce::knn(w.clone(), q, k));
+        assert_eq!(ids(&g.knn(q, k)), ids(&kd.knn(q, k)));
+        assert_eq!(ids(&kd.knn(q, k)), want);
     });
 }
 
@@ -134,18 +92,6 @@ fn grid_range_equals_bruteforce() {
         }
         let c = Circle::new(q, r);
         assert_eq!(ids(&g.range(&c)), ids(&bruteforce::range(w.clone(), &c)));
-    });
-}
-
-#[test]
-fn rtree_range_equals_bruteforce() {
-    forall(CASES, |rng| {
-        let w = world(rng, 200);
-        let q = pt(rng);
-        let r = rng.gen_range(0.0..SIDE);
-        let t = RTree::bulk_load(w.clone());
-        let c = Circle::new(q, r);
-        assert_eq!(ids(&t.range(&c)), ids(&bruteforce::range(w.clone(), &c)));
     });
 }
 
@@ -280,33 +226,6 @@ fn grid_survives_random_moves() {
             ids(&g.knn(q, k)),
             ids(&bruteforce::knn(truth.clone(), q, k))
         );
-    });
-}
-
-#[test]
-fn rtree_survives_insert_delete_interleaving() {
-    forall(CASES, |rng| {
-        let w = world(rng, 120);
-        let n_ops = rng.gen_range(0usize..120);
-        let ops: Vec<bool> = (0..n_ops).map(|_| rng.gen_bool(0.5)).collect();
-        let q = pt(rng);
-        let mut t = RTree::new();
-        let mut live: Vec<(ObjectId, Point)> = Vec::new();
-        let mut pending = w.clone();
-        for op in ops {
-            if op || live.is_empty() {
-                if let Some((id, p)) = pending.pop() {
-                    t.insert(id, p);
-                    live.push((id, p));
-                }
-            } else {
-                let (id, p) = live.swap_remove(live.len() / 2);
-                assert!(t.remove(id, p));
-            }
-        }
-        t.check_invariants().unwrap();
-        assert_eq!(t.len(), live.len());
-        assert_eq!(ids(&t.knn(q, 5)), ids(&bruteforce::knn(live.clone(), q, 5)));
     });
 }
 

@@ -40,8 +40,9 @@ pub use downlink::{
 pub use fault::{CrashWindow, FaultError, FaultPlan, FaultPlanBuilder, FaultyLink, QueryStreams};
 pub use msg::{DownlinkMsg, MsgKind, QuerySpec, Recipient, ShardMsg, ShardMsgKind, UplinkMsg};
 pub use proto::{
-    parallel_client_phase, run_shard_tasks, ClientCtx, ObjReport, Outbox, ProbeService, Protocol,
-    ServerPhase, ShardTask, Uplinks, PAR_MIN_DEVICES,
+    parallel_client_phase, run_shard_tasks, single_shard_phase, ClientCtx, ObjReport, Outbox,
+    ProbeService, Protocol, ServerPhase, ShardState, ShardTask, ShardedServers, Uplinks,
+    PAR_MIN_DEVICES,
 };
 pub use stats::{NetStats, OpCounters, ShardStats};
 pub use wire::{

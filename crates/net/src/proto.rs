@@ -7,14 +7,15 @@
 //! is enforced by **information discipline**, which implementations must
 //! follow and which the message-conservation tests check:
 //!
-//! * `client_tick` may read only the device's own ground-truth state
-//!   ([`mknn_mobility::MovingObject`]), that device's protocol state, and
+//! * `client_phase` (and the per-device `client_tick` kernel behind it)
+//!   may read, per device, only that device's own ground-truth state (the
+//!   [`ClientCtx`] slices at its index), that device's protocol state, and
 //!   the downlinks addressed to it; it communicates exclusively through
-//!   [`Uplinks`].
-//! * `server_tick` may read only server state and the tick's uplinks; it
-//!   communicates exclusively through the [`Outbox`] and the synchronous
-//!   [`ProbeService`] (which itself charges messages for every probe and
-//!   reply).
+//!   [`Uplinks`]. It never reads or writes server state.
+//! * `server_phase` may read only server state and the uplinks routed to
+//!   each shard; each shard communicates exclusively through its
+//!   [`ShardTask`]'s [`Outbox`] and its synchronous [`ProbeService`]
+//!   (which itself charges messages for every probe and reply).
 
 use crate::{DownlinkMsg, QuerySpec, Recipient, UplinkMsg};
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Tick, Vector};
@@ -200,6 +201,18 @@ pub trait ProbeService {
     fn poll(&mut self, query: QueryId, id: ObjectId) -> Option<ObjReport>;
 }
 
+/// A borrowed probe channel is a probe channel, so a caller can hand
+/// `&mut probe` to a [`ShardTask`] and still inspect the probe afterwards.
+impl<P: ProbeService + ?Sized> ProbeService for &mut P {
+    fn probe(&mut self, query: QueryId, zone: Circle, exclude: ObjectId) -> Vec<ObjReport> {
+        (**self).probe(query, zone, exclude)
+    }
+
+    fn poll(&mut self, query: QueryId, id: ObjectId) -> Option<ObjReport> {
+        (**self).poll(query, id)
+    }
+}
+
 /// One shard's slice of a partitioned server tick.
 ///
 /// The engine builds one task per server shard: the uplinks routed to that
@@ -272,6 +285,158 @@ where
     });
 }
 
+/// One partition of a protocol's server tier, as [`ShardedServers`] keeps
+/// it: the per-query state of the queries homed at one shard.
+pub trait ShardState: Send + Sized {
+    /// A fresh partition with this one's configuration and no queries —
+    /// the starting point of a sibling shard when the tier widens.
+    fn fork(&self) -> Self;
+
+    /// Moves query `id`'s state, if this partition holds it, into `to` —
+    /// the state a `Migrate` leg ships between shards.
+    fn move_query(&mut self, id: u32, to: &mut Self);
+}
+
+/// A protocol's partitioned server state: one [`ShardState`] per shard of
+/// the deployed tier, plus the protocol-side mirror of the coordinator's
+/// query-home directory.
+///
+/// Registration loads everything into partition 0 ([`Self::reset`]); the
+/// first [`Self::run_phase`] forks the tier to the deployment width, and
+/// every phase re-homes per-query state to the coordinator's homes before
+/// the shards run. Each query therefore lives in exactly one partition, and
+/// [`Self::holder`] finds it.
+#[derive(Debug)]
+pub struct ShardedServers<S> {
+    shards: Vec<S>,
+    /// Hosting shard per query id, as of the last phase.
+    home_of: Vec<u32>,
+}
+
+impl<S: ShardState> ShardedServers<S> {
+    /// A one-partition tier whose shard 0 is `first`.
+    pub fn new(first: S) -> Self {
+        ShardedServers {
+            shards: vec![first],
+            home_of: Vec::new(),
+        }
+    }
+
+    /// Registration: narrows the tier to an empty shard 0 (a fork of the
+    /// current one), homes all `n_queries` queries there, and returns it
+    /// for the protocol to load.
+    pub fn reset(&mut self, n_queries: usize) -> &mut S {
+        self.shards.truncate(1);
+        self.shards[0] = self.shards[0].fork();
+        self.home_of = vec![0; n_queries];
+        &mut self.shards[0]
+    }
+
+    /// The partitions, indexed by shard id.
+    pub fn shards(&self) -> &[S] {
+        &self.shards
+    }
+
+    /// Mutable access to every partition (tier-wide switches and crash
+    /// sweeps; a sweep over a query touches exactly its holder).
+    pub fn shards_mut(&mut self) -> &mut [S] {
+        &mut self.shards
+    }
+
+    /// The partition holding `query`: its home as of the last phase, shard
+    /// 0 before the first phase or for an id the directory does not list.
+    pub fn holder(&self, query: QueryId) -> &S {
+        &self.shards[self.home_index(query)]
+    }
+
+    /// Mutable [`Self::holder`].
+    pub fn holder_mut(&mut self, query: QueryId) -> &mut S {
+        let h = self.home_index(query);
+        &mut self.shards[h]
+    }
+
+    fn home_index(&self, query: QueryId) -> usize {
+        self.home_of.get(query.index()).copied().unwrap_or(0) as usize
+    }
+
+    /// Grows the tier to `width` partitions by forking shard 0, then moves
+    /// every query whose home changed to `homes[query]` (dense, indexed by
+    /// query id).
+    pub fn sync(&mut self, width: usize, homes: &[u32]) {
+        while self.shards.len() < width {
+            let next = self.shards[0].fork();
+            self.shards.push(next);
+        }
+        if self.home_of.len() < homes.len() {
+            self.home_of.resize(homes.len(), 0);
+        }
+        for (q, (&new_home, old_home)) in homes.iter().zip(self.home_of.iter_mut()).enumerate() {
+            if *old_home != new_home {
+                let [from, to] = self
+                    .shards
+                    .get_disjoint_mut([*old_home as usize, new_home as usize])
+                    .expect("homes lie inside the tier");
+                from.move_query(q as u32, to);
+                *old_home = new_home;
+            }
+        }
+    }
+
+    /// One partitioned server phase: [`Self::sync`] to the phase's width
+    /// and homes, then `f` on every `(partition, task)` pair through
+    /// [`run_shard_tasks`].
+    pub fn run_phase<'p, F>(&mut self, phase: &mut ServerPhase<'_, 'p>, f: F)
+    where
+        F: Fn(&mut S, &mut ShardTask<'p>) + Sync,
+    {
+        debug_assert!(
+            phase
+                .tasks
+                .iter()
+                .enumerate()
+                .all(|(i, t)| t.shard as usize == i),
+            "tasks must be dense ascending shard ids"
+        );
+        self.sync(phase.tasks.len(), phase.homes);
+        run_shard_tasks(phase.pool, &mut self.shards, phase.tasks, f);
+    }
+}
+
+/// Runs `proto` through one [`Protocol::server_phase`] at `tick` with the
+/// whole server tier as a single shard on one thread, feeding it `uplinks`
+/// and `probe`, and appends what the shard emits to `outbox` and `ops`.
+///
+/// This is how unit tests drive a protocol's server side with hand-built
+/// uplinks against a mock [`ProbeService`]; pass the probe as `&mut probe`
+/// to inspect it after the call.
+pub fn single_shard_phase<P: Protocol + ?Sized>(
+    proto: &mut P,
+    tick: Tick,
+    uplinks: Uplinks,
+    probe: impl ProbeService + Send,
+    outbox: &mut Outbox,
+    ops: &mut crate::OpCounters,
+) {
+    let mut tasks = [ShardTask {
+        shard: 0,
+        uplinks,
+        probe: Box::new(probe),
+        outbox: Outbox::new(),
+        ops: crate::OpCounters::default(),
+        seconds: 0.0,
+    }];
+    proto.server_phase(&mut ServerPhase {
+        tick,
+        homes: &[],
+        route: &|_| 0,
+        pool: Pool::new(1),
+        tasks: &mut tasks,
+    });
+    let [task] = &mut tasks;
+    outbox.append(&mut task.outbox);
+    *ops += task.ops;
+}
+
 /// A continuous moving-kNN monitoring method (client + server halves).
 pub trait Protocol {
     /// Short method name used in experiment tables ("dknn-set",
@@ -325,58 +490,14 @@ pub trait Protocol {
         }
     }
 
-    /// Server logic for tick `tick`, consuming the tick's uplinks.
-    fn server_tick(
-        &mut self,
-        tick: Tick,
-        uplinks: &Uplinks,
-        probe: &mut dyn ProbeService,
-        outbox: &mut Outbox,
-        ops: &mut crate::OpCounters,
-    );
-
-    /// Server logic for one tick of a *partitioned* server tier: one task
+    /// Server logic for one tick of the partitioned server tier: one task
     /// per shard, each holding the uplinks routed to it.
     ///
-    /// Every protocol in this workspace overrides this with real per-shard
-    /// state (per-shard query maps, partial indexes) dispatched over
-    /// `phase.pool` via [`run_shard_tasks`]; the contract is that answers,
-    /// ops, and all device-facing traffic are byte-identical to the
-    /// monolithic [`Protocol::server_tick`] at one shard, and invariant
+    /// Implementations keep real per-shard state (usually in a
+    /// [`ShardedServers`]) and dispatch over `phase.pool`; the contract is
+    /// that answers, ops, and all device-facing traffic are invariant
     /// across shard and thread counts.
-    ///
-    /// The default implementation keeps unpartitioned (e.g. mock)
-    /// protocols working: with one task it is exactly the monolithic tick;
-    /// with several it merges the task uplinks in ascending shard order
-    /// and runs the monolithic tick against shard 0's accumulators — the
-    /// old "accounting overlay" semantics.
-    fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
-        let t0 = std::time::Instant::now();
-        if let [task] = phase.tasks {
-            self.server_tick(
-                phase.tick,
-                &std::mem::take(&mut task.uplinks),
-                task.probe.as_mut(),
-                &mut task.outbox,
-                &mut task.ops,
-            );
-            task.seconds += t0.elapsed().as_secs_f64();
-            return;
-        }
-        let mut all = Uplinks::new();
-        for task in phase.tasks.iter_mut() {
-            all.append(&mut task.uplinks);
-        }
-        let first = &mut phase.tasks[0];
-        self.server_tick(
-            phase.tick,
-            &all,
-            first.probe.as_mut(),
-            &mut first.outbox,
-            &mut first.ops,
-        );
-        first.seconds += t0.elapsed().as_secs_f64();
-    }
+    fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>);
 
     /// The currently maintained answer of `query`: neighbor ids in
     /// canonical order (ascending distance, ties by id). The slice length
@@ -455,48 +576,43 @@ pub trait Protocol {
 /// and the small-world golden gates stay trivially on the sequential path.
 pub const PAR_MIN_DEVICES: usize = 4096;
 
-/// Runs a *stateless* per-device client body over the whole population,
-/// chunked across `ctx.pool`.
+/// Runs a per-device client body over the whole population, chunked
+/// across `ctx.pool` together with `states` (one entry per device; pass
+/// `&mut vec![(); n]` for a stateless body).
 ///
-/// This is the shared harness for protocols whose `client_tick` needs no
-/// mutable per-device protocol state (e.g. the centralized baseline's
-/// "report position if moved"). Each chunk accumulates its own
-/// [`Uplinks`] and [`crate::OpCounters`]; chunks merge in chunk order, so
-/// the combined uplink stream and counters are byte-identical to the
-/// sequential loop at any thread count or chunk size. Populations below
-/// [`PAR_MIN_DEVICES`] (or a one-thread pool) run sequentially.
-pub fn parallel_client_phase<F>(
+/// This is the shared harness behind every chunked [`Protocol::client_phase`]:
+/// `f` sees one online device's own state entry, ground truth, and inbox.
+/// Each chunk accumulates its own [`Uplinks`] and [`crate::OpCounters`];
+/// chunks merge in chunk (= device id) order, so the combined uplink stream
+/// and counters are byte-identical to a sequential loop at any thread count
+/// or chunk size. Populations below [`PAR_MIN_DEVICES`] (or a one-thread
+/// pool) run as one chunk on the calling thread.
+pub fn parallel_client_phase<T, F>(
     ctx: &ClientCtx,
+    states: &mut [T],
     up: &mut Uplinks,
     ops: &mut crate::OpCounters,
     f: F,
 ) where
-    F: Fn(Tick, &MovingObject, &[DownlinkMsg], &mut Uplinks, &mut crate::OpCounters) + Sync,
+    T: Send,
+    F: Fn(&mut T, &MovingObject, &[DownlinkMsg], &mut Uplinks, &mut crate::OpCounters) + Sync,
 {
     let n = ctx.len();
-    let run_chunk =
-        |range: std::ops::Range<usize>, up: &mut Uplinks, ops: &mut crate::OpCounters| {
-            for i in range {
-                if ctx.is_offline(i) {
-                    continue;
-                }
-                let me = ctx.object(i);
-                f(ctx.tick, &me, &ctx.inboxes[i], up, ops);
-            }
-        };
-    if ctx.pool.threads() <= 1 || n < PAR_MIN_DEVICES {
-        run_chunk(0..n, up, ops);
-        return;
-    }
-    let chunk = ctx.pool.chunk_size(n);
-    let ranges: Vec<std::ops::Range<usize>> = (0..n)
-        .step_by(chunk)
-        .map(|s| s..(s + chunk).min(n))
-        .collect();
-    let parts = ctx.pool.map_indexed(ranges, |_, range| {
+    debug_assert_eq!(states.len(), n, "one state entry per device");
+    let chunk = if ctx.pool.threads() <= 1 || n < PAR_MIN_DEVICES {
+        n
+    } else {
+        ctx.pool.chunk_size(n)
+    };
+    let parts = ctx.pool.map_chunks_mut(states, chunk, |base, states| {
         let mut up_c = Uplinks::new();
         let mut ops_c = crate::OpCounters::default();
-        run_chunk(range, &mut up_c, &mut ops_c);
+        for (j, st) in states.iter_mut().enumerate() {
+            let i = base + j;
+            if !ctx.is_offline(i) {
+                f(st, &ctx.object(i), &ctx.inboxes[i], &mut up_c, &mut ops_c);
+            }
+        }
         (up_c, ops_c)
     });
     for (mut up_c, ops_c) in parts {
@@ -557,5 +673,96 @@ mod tests {
         );
         assert_eq!(out.len(), 3);
         assert!(matches!(out.iter().next().unwrap().0, Recipient::One(_)));
+    }
+
+    /// A partition that records its configuration and the query ids it
+    /// holds.
+    #[derive(Debug, PartialEq)]
+    struct Part {
+        config: u32,
+        queries: Vec<u32>,
+    }
+
+    impl ShardState for Part {
+        fn fork(&self) -> Part {
+            Part {
+                config: self.config,
+                queries: Vec::new(),
+            }
+        }
+
+        fn move_query(&mut self, id: u32, to: &mut Part) {
+            if let Some(i) = self.queries.iter().position(|&q| q == id) {
+                to.queries.push(self.queries.remove(i));
+            }
+        }
+    }
+
+    fn registered(n: u32) -> ShardedServers<Part> {
+        let mut tier = ShardedServers::new(Part {
+            config: 7,
+            queries: vec![99],
+        });
+        tier.reset(n as usize).queries = (0..n).collect();
+        tier
+    }
+
+    #[test]
+    fn sharded_servers_fork_to_width_from_shard_zero() {
+        let mut tier = registered(3);
+        assert_eq!(tier.shards().len(), 1);
+        tier.sync(4, &[0, 0, 0]);
+        assert_eq!(tier.shards().len(), 4);
+        assert_eq!(tier.shards()[0].queries, vec![0, 1, 2]);
+        for fork in &tier.shards()[1..] {
+            assert_eq!(fork.config, 7, "forks keep shard 0's configuration");
+            assert!(fork.queries.is_empty(), "forks start empty");
+        }
+        // Narrower phases never shrink the tier; registration does.
+        tier.sync(2, &[0, 0, 0]);
+        assert_eq!(tier.shards().len(), 4);
+        tier.reset(3);
+        assert_eq!(tier.shards().len(), 1);
+        assert!(
+            tier.shards()[0].queries.is_empty(),
+            "registration starts empty"
+        );
+    }
+
+    #[test]
+    fn sharded_servers_rehome_back_and_forth() {
+        let mut tier = registered(3);
+        let steps: [[u32; 3]; 6] = [
+            [0, 0, 0],
+            [1, 0, 3],
+            [3, 0, 1],
+            [0, 2, 1],
+            [3, 2, 1],
+            [0, 0, 0],
+        ];
+        for homes in steps {
+            tier.sync(4, &homes);
+            for (q, &home) in homes.iter().enumerate() {
+                let holders: Vec<usize> = (0..4)
+                    .filter(|&s| tier.shards()[s].queries.contains(&(q as u32)))
+                    .collect();
+                assert_eq!(holders, vec![home as usize], "query {q} at {homes:?}");
+                assert!(tier.holder(QueryId(q as u32)).queries.contains(&(q as u32)));
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_servers_holder_defaults_to_shard_zero() {
+        let mut tier = registered(2);
+        // Before the first phase everything sits in partition 0.
+        assert_eq!(tier.holder(QueryId(1)).queries, vec![0, 1]);
+        tier.sync(3, &[2, 1]);
+        assert_eq!(tier.holder(QueryId(0)).queries, vec![0]);
+        assert_eq!(tier.holder(QueryId(1)).queries, vec![1]);
+        // An id the directory does not list resolves to partition 0.
+        assert!(std::ptr::eq(tier.holder(QueryId(5)), &tier.shards()[0]));
+        tier.holder_mut(QueryId(0)).config = 8;
+        assert_eq!(tier.shards()[2].config, 8);
     }
 }

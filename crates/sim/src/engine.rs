@@ -14,172 +14,6 @@ use mknn_net::{
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// The harness's synchronous probe channel: answers from true positions,
-/// charging every probe geocast/unicast and every reply before returning.
-///
-/// A probe round trip is one synchronous RPC, so the fault layer only
-/// applies **loss and churn** to it (a duplicated or delayed reply is
-/// indistinguishable from a lost one to a caller that waits exactly one
-/// round): the request leg can fail with the downlink loss rate, the reply
-/// leg with the uplink loss rate, and offline devices never answer.
-struct EngineProbe<'a, 'b> {
-    infra: &'a GridIndex,
-    world: &'a World,
-    stats: &'a mut NetStats,
-    link: Option<&'a mut FaultyLink>,
-    coord: &'a mut ShardCoordinator,
-    /// Present in scoped downlink mode: probe request legs are staged into
-    /// the tick's frames (priced per interested device) instead of being
-    /// charged per overlapped cell.
-    builder: Option<&'a mut DownlinkBuilder<'b>>,
-}
-
-impl ProbeService for EngineProbe<'_, '_> {
-    fn probe(
-        &mut self,
-        query: QueryId,
-        zone: mknn_geom::Circle,
-        exclude: ObjectId,
-    ) -> Vec<ObjReport> {
-        let msg = DownlinkMsg::Probe { query, zone };
-        let cells = self.infra.cells_overlapping(&zone);
-        let bytes = if self.builder.is_some() {
-            0
-        } else {
-            msg.size_bytes()
-        };
-        self.stats.count_geocast(MsgKind::Probe, bytes, cells);
-        // The probe zone scatters to every covering shard; each foreign one
-        // merges its partial answer back at the home shard afterwards.
-        self.coord
-            .probe_scatter(query, &zone, self.stats, self.link.as_deref_mut());
-        let mut out = Vec::new();
-        for n in self.infra.range(&zone) {
-            if n.id == exclude {
-                continue;
-            }
-            let mut delivery = Delivery::Delivered;
-            if let Some(link) = self.link.as_deref_mut() {
-                // Request leg: an offline device never hears the geocast; an
-                // online one misses it with the downlink loss rate.
-                if link.is_offline(n.id.index()) {
-                    self.stats.count_dropped();
-                    delivery = Delivery::Offline;
-                } else if link.probe_leg_lost(query, link.plan().down_loss, self.stats) {
-                    delivery = Delivery::Lost;
-                }
-            }
-            if let Some(b) = self.builder.as_deref_mut() {
-                b.stage(n.id, msg, delivery);
-            }
-            if delivery != Delivery::Delivered {
-                continue;
-            }
-            let o = self.world.object(n.id);
-            let reply = UplinkMsg::ProbeReply {
-                query,
-                pos: o.pos,
-                vel: o.vel,
-            };
-            self.stats
-                .count_uplink(MsgKind::ProbeReply, reply.size_bytes());
-            if let Some(link) = self.link.as_deref_mut() {
-                // Reply leg: the device transmitted (charged above) but the
-                // uplink may still be lost in flight.
-                if link.probe_leg_lost(query, link.plan().up_loss, self.stats) {
-                    continue;
-                }
-            }
-            out.push(ObjReport {
-                id: n.id,
-                pos: o.pos,
-                vel: o.vel,
-            });
-        }
-        // Gather: delivered replies surface at the shard owning the sender's
-        // block; foreign shards ship their candidates home as one partial
-        // answer each, merged in ascending shard order.
-        let mut per_shard: BTreeMap<u32, usize> = BTreeMap::new();
-        for r in &out {
-            *per_shard.entry(self.coord.shard_of(r.pos)).or_insert(0) += 1;
-        }
-        for (shard, count) in per_shard {
-            self.coord
-                .probe_gather(query, shard, count, self.stats, self.link.as_deref_mut());
-        }
-        out
-    }
-
-    fn poll(&mut self, query: QueryId, id: ObjectId) -> Option<ObjReport> {
-        // Ids the world does not track — foreign or beyond the population —
-        // get `None` without charging any traffic: there is no device to
-        // page. World ids are dense (index i is ObjectId(i), asserted at
-        // construction), so the bounds check alone identifies the device.
-        if id.index() >= self.world.len() {
-            return None;
-        }
-        let o = self.world.object(id);
-        let ask = DownlinkMsg::Probe {
-            query,
-            zone: mknn_geom::Circle::new(o.pos, 0.0),
-        };
-        let bytes = if self.builder.is_some() {
-            0
-        } else {
-            ask.size_bytes()
-        };
-        self.stats.count_unicast(MsgKind::Probe, bytes);
-        // A poll into a foreign block is forwarded there and the reply
-        // forwarded back.
-        self.coord.route_unicast(
-            query,
-            o.pos,
-            ask.size_bytes(),
-            self.stats,
-            self.link.as_deref_mut(),
-        );
-        let mut delivery = Delivery::Delivered;
-        if let Some(link) = self.link.as_deref_mut() {
-            if link.is_offline(id.index()) {
-                self.stats.count_dropped();
-                delivery = Delivery::Offline;
-            } else if link.probe_leg_lost(query, link.plan().down_loss, self.stats) {
-                delivery = Delivery::Lost;
-            }
-        }
-        if let Some(b) = self.builder.as_deref_mut() {
-            b.stage(id, ask, delivery);
-        }
-        if delivery != Delivery::Delivered {
-            return None;
-        }
-        let reply = UplinkMsg::ProbeReply {
-            query,
-            pos: o.pos,
-            vel: o.vel,
-        };
-        self.stats
-            .count_uplink(MsgKind::ProbeReply, reply.size_bytes());
-        self.coord.route_uplink(
-            Some(query),
-            o.pos,
-            reply.size_bytes(),
-            self.stats,
-            self.link.as_deref_mut(),
-        );
-        if let Some(link) = self.link.as_deref_mut() {
-            if link.probe_leg_lost(query, link.plan().up_loss, self.stats) {
-                return None;
-            }
-        }
-        Some(ObjReport {
-            id,
-            pos: o.pos,
-            vel: o.vel,
-        })
-    }
-}
-
 /// A coordinator side effect recorded by a [`ShardProbe`] during the
 /// parallel server phase. The coordinator is shared *read-only* across the
 /// phase's worker threads, so its mutating charges (backbone legs, shard
@@ -229,13 +63,23 @@ struct ShardBuf {
     staged: Vec<(ObjectId, DownlinkMsg, Delivery)>,
 }
 
-/// The per-shard probe channel handed to [`ShardTask`]s: behaviorally
-/// identical to [`EngineProbe`], but safe to drive from a worker thread.
-/// Shared engine state (`infra`, `world`, `coord`, the offline mask) is
-/// read-only; everything it must mutate — traffic counters, fault draws
-/// from this shard's query streams, coordinator charges, builder stagings —
-/// lands in the shard's own [`ShardBuf`], which the engine merges and
-/// replays in ascending shard order after the phase.
+/// The harness's synchronous probe channel, one per server shard: answers
+/// from true positions, charging every probe geocast/unicast and every
+/// reply before returning.
+///
+/// A probe round trip is one synchronous RPC, so the fault layer only
+/// applies **loss and churn** to it (a duplicated or delayed reply is
+/// indistinguishable from a lost one to a caller that waits exactly one
+/// round): the request leg can fail with the downlink loss rate, the reply
+/// leg with the uplink loss rate, and offline devices never answer.
+///
+/// It is safe to drive from a worker thread: shared engine state (`infra`,
+/// the position slices, `coord`, the offline mask) is read-only, and
+/// everything it must mutate — traffic counters, fault draws from this
+/// shard's query streams, coordinator charges, builder stagings — lands in
+/// the shard's own [`ShardBuf`], which [`replay_shard_bufs`] merges in
+/// ascending shard order after the phase. Init drives a one-shard probe
+/// the same way.
 struct ShardProbe<'a> {
     infra: &'a GridIndex,
     /// True positions and velocities, indexed by `ObjectId::index` (the
@@ -327,6 +171,10 @@ impl ProbeService for ShardProbe<'_> {
     }
 
     fn poll(&mut self, query: QueryId, id: ObjectId) -> Option<ObjReport> {
+        // Ids the world does not track — foreign or beyond the population —
+        // get `None` without charging any traffic: there is no device to
+        // page. World ids are dense, so the bounds check alone identifies
+        // the device.
         if id.index() >= self.pos.len() {
             return None;
         }
@@ -519,24 +367,34 @@ impl Simulation {
         let mut repl = ReplStore::with_pool(pool);
         let mut last_sent = vec![Vec::new(); specs.len()];
         let mut builder = scoped.then(|| repl.begin_tick(0));
-        {
-            let mut probe = EngineProbe {
+        // Registration runs through a one-shard probe like any server
+        // phase. It has no link, so its deferred charges draw nothing.
+        let mut buf = ShardBuf::default();
+        proto.init(
+            bounds,
+            &world.objects(),
+            &specs,
+            &mut ShardProbe {
                 infra: &infra,
-                world: &world,
-                stats: &mut metrics.net,
-                link: None,
-                coord: &mut coord,
-                builder: builder.as_mut(),
-            };
-            proto.init(
-                bounds,
-                &world.objects(),
-                &specs,
-                &mut probe,
-                &mut outbox,
-                &mut ops,
-            );
-        }
+                pos: world.positions(),
+                vel: world.velocities(),
+                offline: None,
+                plan: None,
+                tick: 0,
+                scoped,
+                coord: &coord,
+                buf: &mut buf,
+            },
+            &mut outbox,
+            &mut ops,
+        );
+        replay_shard_bufs(
+            std::slice::from_mut(&mut buf),
+            &mut metrics.net,
+            &mut coord,
+            None,
+            builder.as_mut(),
+        );
         // The init handshake is server-side setup work; the routing that
         // delivers its outbox is charged to the route split below. Both
         // feed `proto_seconds`, composed the same way as a stepped tick.
@@ -910,60 +768,13 @@ impl Simulation {
             ops += task.ops;
             self.metrics.shard_seconds[task.shard as usize] += task.seconds;
         }
-        // Replay each shard's deferred side effects against the real
-        // coordinator/link/builder, ascending — deterministic regardless of
-        // which worker ran which task when.
-        for buf in bufs.iter_mut() {
-            self.metrics.net += &buf.stats;
-            for charge in buf.charges.drain(..) {
-                match charge {
-                    CoordCharge::ProbeScatter { query, zone } => {
-                        self.coord.probe_scatter(
-                            query,
-                            &zone,
-                            &mut self.metrics.net,
-                            self.link.as_mut(),
-                        );
-                    }
-                    CoordCharge::ProbeGather {
-                        query,
-                        shard,
-                        count,
-                    } => {
-                        self.coord.probe_gather(
-                            query,
-                            shard,
-                            count,
-                            &mut self.metrics.net,
-                            self.link.as_mut(),
-                        );
-                    }
-                    CoordCharge::RouteUnicast { query, pos, bytes } => {
-                        self.coord.route_unicast(
-                            query,
-                            pos,
-                            bytes,
-                            &mut self.metrics.net,
-                            self.link.as_mut(),
-                        );
-                    }
-                    CoordCharge::RouteUplink { query, pos, bytes } => {
-                        self.coord.route_uplink(
-                            Some(query),
-                            pos,
-                            bytes,
-                            &mut self.metrics.net,
-                            self.link.as_mut(),
-                        );
-                    }
-                }
-            }
-            if let Some(b) = builder.as_mut() {
-                for (to, msg, delivery) in buf.staged.drain(..) {
-                    b.stage(to, msg, delivery);
-                }
-            }
-        }
+        replay_shard_bufs(
+            &mut bufs,
+            &mut self.metrics.net,
+            &mut self.coord,
+            self.link.as_mut(),
+            builder.as_mut(),
+        );
         if let Some(link) = self.link.as_mut() {
             link.restore_query_streams(bufs.into_iter().filter_map(|b| b.streams).collect());
         }
@@ -1101,6 +912,45 @@ impl Simulation {
             self.step();
         }
         self.metrics
+    }
+}
+
+/// Replays each shard's deferred side effects against the real
+/// coordinator, link and builder, in ascending shard order — deterministic
+/// regardless of which worker ran which task when.
+fn replay_shard_bufs(
+    bufs: &mut [ShardBuf],
+    stats: &mut NetStats,
+    coord: &mut ShardCoordinator,
+    mut link: Option<&mut FaultyLink>,
+    mut builder: Option<&mut DownlinkBuilder>,
+) {
+    for buf in bufs {
+        *stats += &buf.stats;
+        for charge in buf.charges.drain(..) {
+            let link = link.as_deref_mut();
+            match charge {
+                CoordCharge::ProbeScatter { query, zone } => {
+                    coord.probe_scatter(query, &zone, stats, link);
+                }
+                CoordCharge::ProbeGather {
+                    query,
+                    shard,
+                    count,
+                } => coord.probe_gather(query, shard, count, stats, link),
+                CoordCharge::RouteUnicast { query, pos, bytes } => {
+                    coord.route_unicast(query, pos, bytes, stats, link);
+                }
+                CoordCharge::RouteUplink { query, pos, bytes } => {
+                    coord.route_uplink(Some(query), pos, bytes, stats, link);
+                }
+            }
+        }
+        if let Some(b) = builder.as_deref_mut() {
+            for (to, msg, delivery) in buf.staged.drain(..) {
+                b.stage(to, msg, delivery);
+            }
+        }
     }
 }
 
@@ -1403,25 +1253,29 @@ mod tests {
             world.snapshot(),
         );
         let n = world.len() as u32;
-        let mut stats = NetStats::default();
-        let mut coord = ShardCoordinator::new(world.bounds(), 1);
-        let mut probe = EngineProbe {
+        let coord = ShardCoordinator::new(world.bounds(), 1);
+        let mut buf = ShardBuf::default();
+        let mut probe = ShardProbe {
             infra: &infra,
-            world: &world,
-            stats: &mut stats,
-            link: None,
-            coord: &mut coord,
-            builder: None,
+            pos: world.positions(),
+            vel: world.velocities(),
+            offline: None,
+            plan: None,
+            tick: 0,
+            scoped: false,
+            coord: &coord,
+            buf: &mut buf,
         };
         // Beyond the population: no such device, no traffic charged.
         assert_eq!(probe.poll(QueryId(0), ObjectId(n)), None);
         assert_eq!(probe.poll(QueryId(0), ObjectId(n + 5)), None);
-        assert_eq!(probe.stats.total_msgs(), 0);
+        assert_eq!(probe.buf.stats.total_msgs(), 0);
+        assert!(probe.buf.charges.is_empty());
         // A tracked id answers, is charged, and reports its own identity.
         let rep = probe.poll(QueryId(0), ObjectId(3)).expect("tracked id");
         assert_eq!(rep.id, ObjectId(3));
-        assert_eq!(probe.stats.downlink_unicast_msgs, 1);
-        assert_eq!(probe.stats.uplink_msgs, 1);
+        assert_eq!(probe.buf.stats.downlink_unicast_msgs, 1);
+        assert_eq!(probe.buf.stats.uplink_msgs, 1);
     }
 
     #[test]

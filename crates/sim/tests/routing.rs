@@ -6,7 +6,7 @@ use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Tick, Vector};
 use mknn_mobility::{Motion, SpeedDist, WorkloadSpec};
 use mknn_net::{
     DownlinkMsg, MsgKind, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, Recipient,
-    UplinkMsg, Uplinks,
+    ServerPhase, UplinkMsg, Uplinks,
 };
 use mknn_sim::{DownlinkMode, SimConfig, Simulation, VerifyMode};
 use std::cell::RefCell;
@@ -54,18 +54,12 @@ impl Protocol for Inspector {
         }
     }
 
-    fn server_tick(
-        &mut self,
-        tick: Tick,
-        _uplinks: &Uplinks,
-        probe: &mut dyn ProbeService,
-        outbox: &mut Outbox,
-        _ops: &mut OpCounters,
-    ) {
-        (self.script)(tick, outbox);
+    fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
+        let (tick, task) = (phase.tick, &mut phase.tasks[0]);
+        (self.script)(tick, &mut task.outbox);
         if tick == 3 {
             if let Some(zone) = self.probe_at_3 {
-                let replies = probe.probe(QueryId(0), zone, ObjectId(u32::MAX));
+                let replies = task.probe.probe(QueryId(0), zone, ObjectId(u32::MAX));
                 *self.probe_replies.borrow_mut() = replies.len();
             }
         }
@@ -291,15 +285,7 @@ fn uplinks_are_charged_per_message_with_the_byte_model() {
             *self.expected_bytes.borrow_mut() += msg.size_bytes() as u64;
             up.send(me.id, msg);
         }
-        fn server_tick(
-            &mut self,
-            _t: Tick,
-            _u: &Uplinks,
-            _p: &mut dyn ProbeService,
-            _o: &mut Outbox,
-            _ops: &mut OpCounters,
-        ) {
-        }
+        fn server_phase(&mut self, _phase: &mut ServerPhase<'_, '_>) {}
         fn answer(&self, _q: QueryId) -> &[ObjectId] {
             &self.empty
         }

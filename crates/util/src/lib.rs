@@ -12,7 +12,7 @@
 //!   `serde_json` for config/metrics/workload structs).
 //! * [`check`] — a tiny randomized property-testing harness with seeded case
 //!   generation and reproducible failure reporting (replaces `proptest`).
-//! * [`bench`] — a micro-benchmark harness with warmup, median-of-N samples,
+//! * [`mod@bench`] — a micro-benchmark harness with warmup, median-of-N samples,
 //!   and JSON output (replaces `criterion`).
 //! * [`pool`] — a scoped worker pool with deterministic in-order result
 //!   collection (replaces `rayon` for the experiment suite's episode

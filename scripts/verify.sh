@@ -8,6 +8,8 @@
 # Stages, in default order:
 #   build        release build of the whole workspace
 #   clippy       cargo clippy --all-targets with warnings denied
+#   doc          rustdoc for every workspace crate with warnings denied, so
+#                a doc link to a renamed or deleted item fails the gate
 #   test         the full test suite (unit + property + integration + doc)
 #   fmt          rustfmt conformance
 #   determinism  two runs of `expt --seed 42` byte-identical, and identical
@@ -88,6 +90,11 @@ stage_build() {
 stage_clippy() {
     echo "==> cargo clippy --all-targets --offline -- -D warnings"
     cargo clippy --all-targets --offline -- -D warnings
+}
+
+stage_doc() {
+    echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace --offline"
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 }
 
 stage_test() {
@@ -352,7 +359,7 @@ stage_speedup() {
                         seq, cores, par, seq / par }'
 }
 
-ALL_STAGES=(build clippy test fmt determinism golden shards chaos recovery oracle bench tickbench wire perfbench speedup)
+ALL_STAGES=(build clippy doc test fmt determinism golden shards chaos recovery oracle bench tickbench wire perfbench speedup)
 
 stages=("$@")
 if [ ${#stages[@]} -eq 0 ]; then

@@ -57,7 +57,7 @@ pub mod prelude {
     pub use mknn_baselines::{Centralized, NaiveBroadcast, Periodic};
     pub use mknn_core::{Dknn, DknnParams, ParamError};
     pub use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Tick, Vector};
-    pub use mknn_index::{GridIndex, RTree};
+    pub use mknn_index::GridIndex;
     pub use mknn_mobility::{Motion, MovingObject, Placement, SpeedDist, WorkloadSpec, World};
     pub use mknn_net::{CrashWindow, FaultPlan, Protocol, QuerySpec};
     pub use mknn_sim::{
